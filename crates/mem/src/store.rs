@@ -10,12 +10,14 @@
 //! Every functional access used to hash a `HashMap<Ppn, Box<[u8]>>`. The
 //! store is now a dense, lazily-materialized *slab*: a frame-indexed slot
 //! table (`u32` per physical frame, sized once from the machine's frame
-//! count) pointing into a single contiguous page arena. The hot path —
-//! Protection-Table byte reads on every border check — is two array
-//! indexes and no allocation. Pages still materialize zero-filled on
-//! first write, and probes outside the configured frame range (tests and
-//! doc examples construct stores with no sizing at all) fall back to the
-//! original sparse map with identical semantics.
+//! count) pointing into a page arena of fixed 64 KiB chunks. The hot path
+//! — Protection-Table byte reads on every border check — is three array
+//! indexes and no allocation. The arena grows a chunk at a time, so no
+//! page ever moves and peak memory does not depend on where the heap
+//! places a reallocated buffer (DESIGN.md §10). Pages still materialize
+//! zero-filled on first write, and probes outside the configured frame
+//! range (tests and doc examples construct stores with no sizing at all)
+//! fall back to the original sparse map with identical semantics.
 
 // The page-crossing copy loops bound every slice range with
 // `take = (PAGE_SIZE - offset).min(remaining)`, so `offset + take` never
@@ -35,6 +37,9 @@ const PAGE: usize = PAGE_SIZE as usize;
 
 /// Slot-table sentinel: page not materialized.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Pages per arena chunk (64 KiB).
+const CHUNK_PAGES: usize = 16;
 
 /// Sparse, byte-accurate physical memory contents.
 ///
@@ -56,8 +61,11 @@ pub struct PhysMemStore {
     /// Frame-indexed slot table: `slots[ppn]` is the page's arena slot,
     /// or [`NO_SLOT`] while the page is unmaterialized.
     slots: Vec<u32>,
-    /// Contiguous page arena; slot `s` owns bytes `s*4096..(s+1)*4096`.
-    arena: Vec<u8>,
+    /// Page arena in fixed-size chunks of [`CHUNK_PAGES`] pages; slot `s`
+    /// owns page `s % CHUNK_PAGES` of chunk `s / CHUNK_PAGES`.
+    arena: Vec<Box<[u8]>>,
+    /// Slots the arena holds, in use or on `free_slots`.
+    arena_slots: usize,
     /// Recycled arena slots from discarded pages (zeroed on reuse).
     free_slots: Vec<u32>,
     /// Materialized in-range pages (kept so `resident_pages` stays O(1)).
@@ -166,8 +174,7 @@ impl PhysMemStore {
             }
             Some(&slot) => {
                 self.prof_fast();
-                let base = slot as usize * PAGE;
-                Some(&self.arena[base..base + PAGE])
+                Some(self.slot_page(slot))
             }
             None => {
                 self.prof_slow();
@@ -189,8 +196,7 @@ impl PhysMemStore {
             } else {
                 slot
             };
-            let base = slot as usize * PAGE;
-            &mut self.arena[base..base + PAGE]
+            self.slot_page_mut(slot)
         } else {
             self.prof_slow();
             self.sparse
@@ -199,17 +205,37 @@ impl PhysMemStore {
         }
     }
 
-    /// Grabs a zeroed arena slot: recycled (re-zeroed) or freshly grown.
+    /// The bytes of arena slot `slot`.
+    #[inline]
+    fn slot_page(&self, slot: u32) -> &[u8] {
+        let s = slot as usize;
+        let base = (s % CHUNK_PAGES) * PAGE;
+        &self.arena[s / CHUNK_PAGES][base..base + PAGE]
+    }
+
+    /// The bytes of arena slot `slot`, writable.
+    #[inline]
+    fn slot_page_mut(&mut self, slot: u32) -> &mut [u8] {
+        let s = slot as usize;
+        let base = (s % CHUNK_PAGES) * PAGE;
+        &mut self.arena[s / CHUNK_PAGES][base..base + PAGE]
+    }
+
+    /// Grabs a zeroed arena slot: recycled (re-zeroed) or freshly grown,
+    /// a zeroed chunk at a time.
     fn materialize_slot(&mut self) -> u32 {
         match self.free_slots.pop() {
             Some(s) => {
-                let base = s as usize * PAGE;
-                self.arena[base..base + PAGE].fill(0);
+                self.slot_page_mut(s).fill(0);
                 s
             }
             None => {
-                let s = u32::try_from(self.arena.len() / PAGE).expect("arena under 16 TiB");
-                self.arena.resize(self.arena.len() + PAGE, 0);
+                let s = u32::try_from(self.arena_slots).expect("arena under 16 TiB");
+                if self.arena_slots.is_multiple_of(CHUNK_PAGES) {
+                    self.arena
+                        .push(vec![0; CHUNK_PAGES * PAGE].into_boxed_slice());
+                }
+                self.arena_slots += 1;
                 s
             }
         }
@@ -352,9 +378,8 @@ mod snap_impls {
             w.usize(self.dense_resident);
             for (idx, &slot) in self.slots.iter().enumerate() {
                 if slot != NO_SLOT {
-                    let base = slot as usize * PAGE;
                     w.u64(idx as u64);
-                    w.bytes(&self.arena[base..base + PAGE]);
+                    w.bytes(self.slot_page(slot));
                 }
             }
             let mut sparse: Vec<Ppn> = self.sparse.keys().copied().collect();
@@ -536,6 +561,41 @@ mod tests {
         );
         // And the original page is zero again too.
         assert_eq!(m.read_vec(PhysAddr::new(0x1000), 4), vec![0; 4]);
+    }
+
+    #[test]
+    fn pages_across_arena_chunks_keep_their_bytes() {
+        let pages = 3 * CHUNK_PAGES as u64 + 5;
+        let mut m = PhysMemStore::with_frames(pages + 1);
+        let tag = |ppn: u64| [ppn.to_le_bytes()[0], 0xEE];
+        // Materialize in descending frame order so slots and frames differ.
+        for ppn in (0..pages).rev() {
+            m.write(Ppn::new(ppn).base().offset(ppn), &tag(ppn));
+        }
+        // Frame `f` got slot 32, the first of chunk 2, and frame `f + 1`
+        // slot 31, the last of chunk 1: a write across their border.
+        let f = pages - 1 - 2 * CHUNK_PAGES as u64;
+        let edge = Ppn::new(f).base().offset(PAGE_SIZE - 1);
+        m.write(edge, &[0xA1, 0xA2]);
+        // Recycled slots come back zeroed, wherever their chunk is.
+        m.discard_page(Ppn::new(2));
+        m.discard_page(Ppn::new(pages - 1));
+        m.write(Ppn::new(pages).base(), &[0x77]);
+        m.write_byte(Ppn::new(2).base().offset(9), 0x33);
+
+        for ppn in (0..pages - 1).filter(|&p| p != 2) {
+            let at = Ppn::new(ppn).base().offset(ppn);
+            assert_eq!(m.read_vec(at, 2), tag(ppn), "frame {ppn}");
+        }
+        assert_eq!(m.read_vec(edge, 2), [0xA1, 0xA2]);
+        let mut two = vec![0; PAGE];
+        two[9] = 0x33;
+        assert_eq!(m.read_vec(Ppn::new(2).base(), PAGE), two);
+        let mut last = vec![0; PAGE];
+        last[0] = 0x77;
+        assert_eq!(m.read_vec(Ppn::new(pages).base(), PAGE), last);
+        assert_eq!(m.read_vec(Ppn::new(pages - 1).base(), PAGE), vec![0; PAGE]);
+        assert_eq!(m.resident_pages() as u64, pages);
     }
 
     #[test]

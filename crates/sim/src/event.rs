@@ -3,17 +3,17 @@
 //! The queue is a hierarchical calendar queue rather than a plain binary
 //! heap: the common case in a simulation run — events scheduled a few
 //! hundred cycles ahead — lands in a bucket wheel indexed directly by
-//! cycle, so push and pop are near-O(1) with no comparisons; only
-//! far-future events (one day ≥ [`EventQueue::WHEEL_CYCLES`] ahead) pay
-//! for heap ordering, and they migrate into the wheel wholesale when the
-//! current day drains.
+//! cycle, so push and pop are near-O(1) with no comparisons. The wheel's
+//! window slides with the pop cursor; only events scheduled at least
+//! [`EventQueue::WHEEL_CYCLES`] ahead of it pay for heap ordering, and
+//! each migrates into the wheel once, as soon as the window reaches it.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::Cycle;
 
-/// Cycles one wheel day covers; see [`EventQueue::WHEEL_CYCLES`].
+/// Cycles the wheel window covers; see [`EventQueue::WHEEL_CYCLES`].
 const N: usize = 1024;
 const WORDS: usize = N / 64;
 
@@ -26,19 +26,23 @@ const WORDS: usize = N / 64;
 ///
 /// # Structure
 ///
-/// Three tiers, disjoint in the cycles they may hold, so same-cycle FIFO
-/// never has to be arbitrated *across* tiers:
+/// Three tiers, disjoint in the cycles they may hold (`past < cur ≤ wheel <
+/// cur + WHEEL_CYCLES ≤ overflow`), so same-cycle FIFO never has to be
+/// arbitrated *across* tiers:
 ///
 /// * **Wheel** — [`Self::WHEEL_CYCLES`] buckets of width one cycle covering
-///   the current *day* `[day_start, day_start + WHEEL_CYCLES)`. Each bucket
-///   is a FIFO `VecDeque`; a 1-bit-per-bucket occupancy bitmap lets `pop`
-///   skip runs of idle cycles with a handful of word scans instead of
-///   walking empty buckets. Within a day each bucket maps to exactly one
-///   cycle, so bucket FIFO order *is* same-cycle FIFO order.
-/// * **Overflow heap** — events at or beyond the current day's end, ordered
-///   by `(cycle, seq)`. When the wheel drains, the earliest overflow event
-///   starts a new day and every overflow event inside that day migrates
-///   into the wheel in `(cycle, seq)` order, preserving FIFO exactly.
+///   the window `[cur, cur + WHEEL_CYCLES)`, where `cur` is the pop cursor.
+///   Each bucket is a FIFO `VecDeque`; a 1-bit-per-bucket occupancy bitmap
+///   lets `pop` skip runs of idle cycles with a handful of word scans
+///   instead of walking empty buckets. Within the window each bucket maps
+///   to exactly one cycle, so bucket FIFO order *is* same-cycle FIFO order.
+/// * **Overflow heap** — events at or beyond the window's end, ordered by
+///   `(cycle, seq)`. Whenever a pop moves the cursor, every overflow event
+///   the window now covers migrates into the wheel in `(cycle, seq)` order;
+///   when the wheel drains, the cursor jumps to the earliest overflow
+///   event first. A push reaches the wheel directly only once its cycle is
+///   inside the window, which is after that cycle's overflow events have
+///   migrated, so FIFO holds exactly.
 /// * **Past heap** — events pushed at cycles strictly before the pop
 ///   cursor. The simulator never does this (scheduling into the past is an
 ///   audited bug), but adversarial callers — the model-based proptest —
@@ -59,17 +63,15 @@ const WORDS: usize = N / 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// One FIFO bucket per cycle of the current day.
+    /// One FIFO bucket per cycle of the window.
     buckets: Vec<VecDeque<E>>,
     /// Occupancy bitmap over `buckets` (bit set ⇔ bucket non-empty).
     occ: [u64; WORDS],
-    /// First cycle of the day the wheel currently covers.
-    day_start: u64,
-    /// Pop cursor: no wheel event lives before this cycle.
+    /// Pop cursor and window start: no wheel event lives before this cycle.
     cur: u64,
     /// Events currently in the wheel.
     wheel_len: usize,
-    /// Events at or beyond `day_start + WHEEL_CYCLES`.
+    /// Events at or beyond `cur + WHEEL_CYCLES`.
     overflow: BinaryHeap<Entry<E>>,
     /// Events pushed at cycles `< cur` (adversarial input only).
     past: BinaryHeap<Entry<E>>,
@@ -118,7 +120,7 @@ impl<E> Ord for Entry<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Cycles one wheel day covers (bucket width is one cycle). Sized to
+    /// Cycles the wheel window covers (bucket width is one cycle). Sized to
     /// hold every service latency in the system model — DRAM round trips,
     /// page walks, downgrade drains — so overflow traffic is limited to
     /// coarse periodic events (downgrade/CPU ticks) and initial seeding.
@@ -130,7 +132,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             buckets: (0..N).map(|_| VecDeque::new()).collect(),
             occ: [0; WORDS],
-            day_start: 0,
             cur: 0,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
@@ -143,12 +144,35 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Whether `t` falls inside the current day. Written without computing
-    /// `day_start + WHEEL_CYCLES`, which can overflow near `u64::MAX`;
-    /// callers guarantee `t >= day_start`.
+    /// Whether `t` falls inside the window. Written without computing
+    /// `cur + WHEEL_CYCLES`, which can overflow near `u64::MAX`; callers
+    /// guarantee `t >= cur`.
     #[inline]
-    fn in_day(&self, t: u64) -> bool {
-        t - self.day_start < N as u64
+    fn in_window(&self, t: u64) -> bool {
+        t - self.cur < N as u64
+    }
+
+    /// Appends `payload` to the bucket of in-window cycle `t`.
+    #[inline]
+    fn push_wheel(&mut self, t: u64, payload: E) {
+        let r = (t % N as u64) as usize;
+        self.occ[r / 64] |= 1 << (r % 64);
+        self.buckets[r].push_back(payload);
+        self.wheel_len += 1;
+    }
+
+    /// Moves every overflow event the window now covers into the wheel.
+    /// The heap pops in `(cycle, seq)` order, so bucket FIFO order equals
+    /// push order.
+    fn migrate(&mut self) {
+        while let Some(top) = self.overflow.peek() {
+            let t = top.at.as_u64();
+            if !self.in_window(t) {
+                break;
+            }
+            let e = self.overflow.pop().expect("peeked");
+            self.push_wheel(t, e.payload);
+        }
     }
 
     /// Schedules `payload` to fire at instant `at`.
@@ -158,11 +182,8 @@ impl<E> EventQueue<E> {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.past.push(Entry { at, seq, payload });
-        } else if self.in_day(t) {
-            let r = (t % N as u64) as usize;
-            self.occ[r / 64] |= 1 << (r % 64);
-            self.buckets[r].push_back(payload);
-            self.wheel_len += 1;
+        } else if self.in_window(t) {
+            self.push_wheel(t, payload);
         } else {
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -172,9 +193,10 @@ impl<E> EventQueue<E> {
 
     /// Residue of the first occupied bucket at or (circularly) after the
     /// cursor's residue. By the wheel invariant every occupied bucket holds
-    /// a cycle in `[cur, day_end)`, and that range maps to residues in
-    /// increasing cycle order starting at `cur % WHEEL_CYCLES`, so the
-    /// first set bit in circular scan order is the minimum pending cycle.
+    /// a cycle in `[cur, cur + WHEEL_CYCLES)`, and that range maps to
+    /// residues in increasing cycle order starting at `cur % WHEEL_CYCLES`,
+    /// so the first set bit in circular scan order is the minimum pending
+    /// cycle.
     fn next_occupied(&self) -> Option<usize> {
         let start = (self.cur % N as u64) as usize;
         let (w0, b0) = (start / 64, start % 64);
@@ -198,7 +220,7 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Cycle the occupied residue `r` corresponds to within the current day.
+    /// Cycle the occupied residue `r` corresponds to within the window.
     #[inline]
     fn cycle_of(&self, r: usize) -> u64 {
         let start = (self.cur % N as u64) as usize;
@@ -226,33 +248,24 @@ impl<E> EventQueue<E> {
             return Some((e.at, e.payload));
         }
         if self.wheel_len == 0 {
-            // Start a new day at the earliest overflow event and migrate
-            // everything inside it. The heap pops in (cycle, seq) order,
-            // so bucket FIFO order equals push order.
-            let new_day = self.overflow.peek()?.at.as_u64();
-            self.day_start = new_day;
-            self.cur = new_day;
-            while let Some(top) = self.overflow.peek() {
-                let t = top.at.as_u64();
-                if !self.in_day(t) {
-                    break;
-                }
-                let e = self.overflow.pop().expect("peeked");
-                let r = (t % N as u64) as usize;
-                self.occ[r / 64] |= 1 << (r % 64);
-                self.buckets[r].push_back(e.payload);
-                self.wheel_len += 1;
-            }
+            // Jump the window to the earliest overflow event.
+            self.cur = self.overflow.peek()?.at.as_u64();
+            self.migrate();
         }
         let r = self.next_occupied().expect("wheel_len > 0");
         let t = self.cycle_of(r);
-        debug_assert!(self.in_day(t));
-        self.cur = t;
+        debug_assert!(self.in_window(t));
         let payload = self.buckets[r].pop_front().expect("occupied bucket");
         if self.buckets[r].is_empty() {
             self.occ[r / 64] &= !(1 << (r % 64));
         }
         self.wheel_len -= 1;
+        // Buckets below `t` are empty (it was the wheel minimum), so the
+        // window may slide to start at `t` and take in what it now covers.
+        if t != self.cur {
+            self.cur = t;
+            self.migrate();
+        }
         Some((Cycle::new(t), payload))
     }
 
@@ -291,7 +304,6 @@ impl<E> EventQueue<E> {
             }
         }
         self.occ = [0; WORDS];
-        self.day_start = 0;
         self.cur = 0;
         self.wheel_len = 0;
         self.overflow.clear();
@@ -366,7 +378,7 @@ mod tests {
     fn overflow_days_rollover_in_order() {
         let n = EventQueue::<u64>::WHEEL_CYCLES as u64;
         let mut q = EventQueue::new();
-        // Several days ahead, plus in-day events, pushed shuffled.
+        // Several windows ahead, plus in-window events, pushed shuffled.
         let times = [3 * n + 7, 2, n + 5, 9 * n, 2, n + 5, 3 * n + 7];
         for (i, &t) in times.iter().enumerate() {
             q.push(Cycle::new(t), i as u64);
@@ -391,7 +403,7 @@ mod tests {
 
     #[test]
     fn fifo_survives_overflow_migration() {
-        // An event sits in the overflow heap, the day rolls over to it,
+        // An event sits in the overflow heap, the window jumps to it,
         // and a later push lands at the same cycle directly in the wheel:
         // the migrated (earlier) event must still pop first.
         let far = EventQueue::<&str>::WHEEL_CYCLES as u64 * 2;
@@ -399,7 +411,7 @@ mod tests {
         q.push(Cycle::new(far), "early");
         q.push(Cycle::new(1), "first");
         assert_eq!(q.pop(), Some((Cycle::new(1), "first")));
-        // Wheel is empty; next pop migrates `far` into a fresh day.
+        // Wheel is empty; next pop jumps the window to `far`.
         q.push(Cycle::new(far), "late-overflow");
         assert_eq!(q.pop(), Some((Cycle::new(far), "early")));
         // Same cycle again, now pushed straight into the wheel.

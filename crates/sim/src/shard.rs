@@ -1,9 +1,11 @@
-//! Conservative sharded execution of per-component event queues.
+//! Conservative sharded execution of a component-partitioned event
+//! calendar.
 //!
 //! A sharded run partitions a simulated machine into logical *components*
 //! (in `bc-system`: one per CU/L1 group, plus the memory side holding the
-//! L2, BCC, IOMMU and host), each with its own calendar [`EventQueue`].
-//! Components are grouped onto *shards* — OS threads — and synchronized
+//! L2, BCC, IOMMU and host). Components are grouped onto *shards* — OS
+//! threads — each keeping one calendar [`EventQueue`] for every event of
+//! its components, keyed by target component; shards are synchronized
 //! with a classic conservative-lookahead protocol: every cross-component
 //! event must be scheduled at least `lookahead` cycles in the future, so
 //! each barrier round can safely dispatch every event below
@@ -18,9 +20,12 @@
 //!
 //! * Events carry a `(src component, per-source sequence)` key assigned in
 //!   the source's own deterministic dispatch order.
-//! * Within one component, all events that share a cycle are drained as a
-//!   batch and dispatched in `(cycle, src, seq)` order, regardless of the
-//!   order mailbox delivery happened to interleave them.
+//! * All events of a shard that share a cycle are drained as a batch and
+//!   dispatched in `(component, src, seq)` order, regardless of the order
+//!   mailbox delivery happened to interleave them. The batch is complete:
+//!   every send lands at least one cycle after the dispatch issuing it.
+//!   Projected onto one component that is `(cycle, src, seq)` order, the
+//!   same at any shard count.
 //! * Cross-component influence flows only through these timestamped
 //!   events; the engine shares no other mutable state between components.
 //!
@@ -145,15 +150,17 @@ pub struct ShardRun {
     /// Contract violations, sorted by `(now, src, seq)`. Empty on every
     /// well-formed model.
     pub violations: Vec<ShardOrderViolation>,
-    /// Pop-monotonicity findings surfaced by the per-component queues'
-    /// own self-check, as `(component, previous, offending)` cycles.
+    /// Pop-monotonicity findings surfaced by the per-shard calendars' own
+    /// self-check, as `(shard, previous, offending)` cycles.
     #[cfg(feature = "audit")]
-    pub queue_findings: Vec<(CompId, u64, u64)>,
+    pub shard_queue_findings: Vec<(usize, u64, u64)>,
 }
 
-/// An event annotated with its deterministic dispatch key.
+/// An event annotated with its target component and deterministic
+/// dispatch key.
 #[derive(Debug)]
 struct Keyed<E> {
+    comp: u32,
     src: u32,
     seq: u64,
     ev: E,
@@ -177,41 +184,20 @@ pub struct PendingEvent<E> {
 }
 
 /// A cross-shard event in flight.
-struct Wire<E> {
-    to: CompId,
-    at: u64,
-    src: u32,
-    seq: u64,
-    ev: E,
-}
-
-/// Per-component queue plus its outgoing sequence counter.
-struct CompState<E> {
-    queue: EventQueue<Keyed<E>>,
-    out_seq: u64,
-}
-
-impl<E> CompState<E> {
-    fn new() -> Self {
-        CompState {
-            queue: EventQueue::new(),
-            out_seq: 0,
-        }
-    }
-}
+type Wire<E> = (Cycle, Keyed<E>);
 
 /// Sink for events emitted while handling a dispatch. Enforces the
 /// scheduling contract (clamping + violation records) and routes events
-/// either straight into a same-shard component queue or into the
-/// cross-shard wire buffer.
+/// either straight into the shard's own calendar or into the cross-shard
+/// wire buffer.
 pub struct Outbox<'a, E> {
     from: CompId,
-    from_idx: usize,
     now: u64,
     lookahead: u64,
     shard: usize,
     assignment: &'a [usize],
-    group: &'a mut [(CompId, CompState<E>)],
+    queue: &'a mut EventQueue<Keyed<E>>,
+    out_seqs: &'a mut [u64],
     remote: &'a mut Vec<Wire<E>>,
     violations: &'a mut Vec<ShardOrderViolation>,
 }
@@ -241,12 +227,8 @@ impl<E> Outbox<'_, E> {
             self.now + self.lookahead
         };
         let mut t = at.as_u64();
-        let seq = {
-            let state = &mut self.group[self.from_idx].1;
-            let s = state.out_seq;
-            state.out_seq += 1;
-            s
-        };
+        let seq = self.out_seqs[self.from];
+        self.out_seqs[self.from] += 1;
         if t < floor {
             self.violations.push(ShardOrderViolation {
                 src: self.from,
@@ -258,27 +240,16 @@ impl<E> Outbox<'_, E> {
             });
             t = floor;
         }
+        let k = Keyed {
+            comp: to as u32,
+            src: self.from as u32,
+            seq,
+            ev,
+        };
         if self.assignment[to] == self.shard {
-            let idx = self
-                .group
-                .binary_search_by_key(&to, |g| g.0)
-                .expect("send targets a component owned by this shard");
-            self.group[idx].1.queue.push(
-                Cycle::new(t),
-                Keyed {
-                    src: self.from as u32,
-                    seq,
-                    ev,
-                },
-            );
+            self.queue.push(Cycle::new(t), k);
         } else {
-            self.remote.push(Wire {
-                to,
-                at: t,
-                src: self.from as u32,
-                seq,
-                ev,
-            });
+            self.remote.push((Cycle::new(t), k));
         }
     }
 }
@@ -412,12 +383,15 @@ struct ShardStats {
 /// Lifecycle: [`ShardEngine::new`] with a validated [`ShardSpec`], seed
 /// initial events with [`ShardEngine::seed`], then [`ShardEngine::run`]
 /// with one [`ShardHandler`] per shard. The engine is reusable:
-/// [`ShardEngine::reset`] clears every component queue (dropping any
+/// [`ShardEngine::reset`] clears every shard calendar (dropping any
 /// recorded findings, per [`EventQueue::clear`] semantics) for a fresh
 /// schedule.
 pub struct ShardEngine<E> {
     spec: ShardSpec,
-    comps: Vec<CompState<E>>,
+    /// One calendar per shard, holding its components' pending events.
+    queues: Vec<EventQueue<Keyed<E>>>,
+    /// Per-component outgoing sequence counters.
+    out_seqs: Vec<u64>,
 }
 
 impl<E: Send> ShardEngine<E> {
@@ -433,8 +407,11 @@ impl<E: Send> ShardEngine<E> {
         if let Err(e) = spec.validate() {
             panic!("invalid shard spec: {e}");
         }
-        let comps = (0..spec.components).map(|_| CompState::new()).collect();
-        ShardEngine { spec, comps }
+        ShardEngine {
+            queues: (0..spec.shards).map(|_| EventQueue::new()).collect(),
+            out_seqs: vec![0; spec.components],
+            spec,
+        }
     }
 
     /// The spec this engine was built with.
@@ -446,12 +423,12 @@ impl<E: Send> ShardEngine<E> {
     /// Seeds an initial event for `comp` at instant `at`, keyed as a
     /// self-send so seed order is the same-cycle dispatch order.
     pub fn seed(&mut self, comp: CompId, at: Cycle, ev: E) {
-        let state = &mut self.comps[comp];
-        let seq = state.out_seq;
-        state.out_seq += 1;
-        state.queue.push(
+        let seq = self.out_seqs[comp];
+        self.out_seqs[comp] += 1;
+        self.queues[self.spec.assignment[comp]].push(
             at,
             Keyed {
+                comp: comp as u32,
                 src: comp as u32,
                 seq,
                 ev,
@@ -459,27 +436,26 @@ impl<E: Send> ShardEngine<E> {
         );
     }
 
-    /// Clears every component queue and sequence counter, making the
+    /// Clears every shard calendar and sequence counter, making the
     /// engine ready for a fresh, unrelated schedule.
     pub fn reset(&mut self) {
-        for c in &mut self.comps {
-            c.queue.clear();
-            c.out_seq = 0;
-        }
+        self.queues.iter_mut().for_each(EventQueue::clear);
+        self.out_seqs.fill(0);
     }
 
-    /// Drains every pending event, keys included, in the exact order
-    /// each component's queue would have popped them. Re-inserting the
-    /// result through [`ShardEngine::restore_pending`] (into a fresh
-    /// engine with the same spec) reproduces the identical schedule —
-    /// push order per component equals pop order, so same-cycle FIFO is
-    /// preserved. Used by the snapshot layer at a warm-start cut.
+    /// Drains every pending event, keys included, grouped by ascending
+    /// component and, within a component, in the order its shard's
+    /// calendar popped them. Re-inserting the result through
+    /// [`ShardEngine::restore_pending`] (into a fresh engine with the same
+    /// spec) reproduces the identical schedule — push order per component
+    /// equals pop order, so same-cycle FIFO is preserved. Used by the
+    /// snapshot layer at a warm-start cut.
     pub fn drain_pending(&mut self) -> Vec<PendingEvent<E>> {
         let mut out = Vec::new();
-        for (comp, c) in self.comps.iter_mut().enumerate() {
-            while let Some((at, k)) = c.queue.pop() {
+        for q in &mut self.queues {
+            while let Some((at, k)) = q.pop() {
                 out.push(PendingEvent {
-                    comp,
+                    comp: k.comp as CompId,
                     at,
                     src: k.src,
                     seq: k.seq,
@@ -487,6 +463,8 @@ impl<E: Send> ShardEngine<E> {
                 });
             }
         }
+        // Stable: each component's events come from one calendar.
+        out.sort_by_key(|p| p.comp);
         out
     }
 
@@ -498,9 +476,10 @@ impl<E: Send> ShardEngine<E> {
     /// Panics if an event names a component outside the spec.
     pub fn restore_pending(&mut self, events: Vec<PendingEvent<E>>) {
         for p in events {
-            self.comps[p.comp].queue.push(
+            self.queues[self.spec.assignment[p.comp]].push(
                 p.at,
                 Keyed {
+                    comp: p.comp as u32,
                     src: p.src,
                     seq: p.seq,
                     ev: p.ev,
@@ -514,7 +493,7 @@ impl<E: Send> ShardEngine<E> {
     /// restored engine issues exactly the keys the original would have.
     #[must_use]
     pub fn out_seqs(&self) -> Vec<u64> {
-        self.comps.iter().map(|c| c.out_seq).collect()
+        self.out_seqs.clone()
     }
 
     /// Restores the per-component sequence counters.
@@ -523,10 +502,8 @@ impl<E: Send> ShardEngine<E> {
     ///
     /// Panics if `seqs.len()` does not match the spec's component count.
     pub fn set_out_seqs(&mut self, seqs: &[u64]) {
-        assert_eq!(seqs.len(), self.comps.len(), "one counter per component");
-        for (c, &s) in self.comps.iter_mut().zip(seqs) {
-            c.out_seq = s;
-        }
+        assert_eq!(seqs.len(), self.out_seqs.len(), "one counter per component");
+        self.out_seqs.copy_from_slice(seqs);
     }
 
     /// Runs the schedule to completion. `handlers[s]` serves shard `s`;
@@ -566,13 +543,9 @@ impl<E: Send> ShardEngine<E> {
             "one handler per shard required"
         );
         let spec = &self.spec;
-        let mut groups: Vec<Vec<(CompId, CompState<E>)>> =
-            (0..spec.shards).map(|_| Vec::new()).collect();
-        // Drained in ascending component id, so each group stays sorted
-        // (Outbox relies on binary search by id).
-        for (id, c) in self.comps.drain(..).enumerate() {
-            groups[spec.assignment[id]].push((id, c));
-        }
+        // Each shard bumps only its own components' counters, in its own
+        // copy; the owner's copy is folded back after the run.
+        let mut shard_seqs = vec![self.out_seqs.clone(); spec.shards];
         let shared = Shared {
             mins: (0..spec.shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
             mailboxes: (0..spec.shards).map(|_| Mutex::new(Vec::new())).collect(),
@@ -585,34 +558,37 @@ impl<E: Send> ShardEngine<E> {
         };
 
         let mut stats: Vec<ShardStats> = Vec::with_capacity(spec.shards);
-        if spec.shards == 1 {
-            let (group, handler) = (&mut groups[0], &mut handlers[0]);
-            stats.push(run_shard(0, spec, group, handler, &shared, until));
-        } else {
-            let shared_ref = &shared;
-            std::thread::scope(|scope| {
-                let mut pairs = groups.iter_mut().zip(handlers.iter_mut()).enumerate();
-                let (_, (group0, handler0)) = pairs.next().expect("shards >= 1");
-                let spawned: Vec<_> = pairs
-                    .map(|(sid, (group, handler))| {
-                        scope.spawn(move || run_shard(sid, spec, group, handler, shared_ref, until))
+        let shared_ref = &shared;
+        std::thread::scope(|scope| {
+            let mut parts = self
+                .queues
+                .iter_mut()
+                .zip(&mut shard_seqs)
+                .zip(handlers.iter_mut())
+                .enumerate();
+            let (_, ((queue0, seqs0), handler0)) = parts.next().expect("shards >= 1");
+            let spawned: Vec<_> = parts
+                .map(|(sid, ((queue, seqs), handler))| {
+                    scope.spawn(move || {
+                        run_shard(sid, spec, queue, seqs, handler, shared_ref, until)
                     })
-                    .collect();
-                stats.push(run_shard(0, spec, group0, handler0, shared_ref, until));
-                for handle in spawned {
-                    match handle.join() {
-                        Ok(s) => stats.push(s),
-                        Err(p) => std::panic::resume_unwind(p),
-                    }
+                })
+                .collect();
+            stats.push(run_shard(
+                0, spec, queue0, seqs0, handler0, shared_ref, until,
+            ));
+            for handle in spawned {
+                match handle.join() {
+                    Ok(s) => stats.push(s),
+                    Err(p) => std::panic::resume_unwind(p),
                 }
-            });
+            }
+        });
+        // Sequence counters persist so a follow-on run keeps globally
+        // unique keys.
+        for (comp, s) in self.out_seqs.iter_mut().enumerate() {
+            *s = shard_seqs[spec.assignment[comp]][comp];
         }
-
-        // Reassemble component state (queues are empty; sequence counters
-        // persist so a follow-on run keeps globally unique keys).
-        let mut flat: Vec<(CompId, CompState<E>)> = groups.into_iter().flatten().collect();
-        flat.sort_by_key(|(id, _)| *id);
-        self.comps = flat.into_iter().map(|(_, c)| c).collect();
 
         stats.sort_by_key(|s| s.sid);
         let mut run = ShardRun {
@@ -620,13 +596,14 @@ impl<E: Send> ShardEngine<E> {
             rounds: stats.first().map_or(0, |s| s.rounds),
             violations: stats.into_iter().flat_map(|s| s.violations).collect(),
             #[cfg(feature = "audit")]
-            queue_findings: Vec::new(),
+            shard_queue_findings: Vec::new(),
         };
         run.violations.sort_by_key(|v| (v.now, v.src, v.seq));
         #[cfg(feature = "audit")]
-        for (id, c) in self.comps.iter_mut().enumerate() {
-            for (prev, at) in c.queue.take_order_findings() {
-                run.queue_findings.push((id, prev.as_u64(), at.as_u64()));
+        for (sid, q) in self.queues.iter_mut().enumerate() {
+            for (prev, at) in q.take_order_findings() {
+                run.shard_queue_findings
+                    .push((sid, prev.as_u64(), at.as_u64()));
             }
         }
         run
@@ -639,7 +616,8 @@ impl<E: Send> ShardEngine<E> {
 fn run_shard<E, H: ShardHandler<E>>(
     sid: usize,
     spec: &ShardSpec,
-    group: &mut [(CompId, CompState<E>)],
+    queue: &mut EventQueue<Keyed<E>>,
+    out_seqs: &mut [u64],
     handler: &mut H,
     shared: &Shared<E>,
     until: u64,
@@ -655,26 +633,11 @@ fn run_shard<E, H: ShardHandler<E>>(
         // Phase A: deliver last round's mail, publish the local minimum.
         {
             let mut mailbox = shared.mailboxes[sid].lock().expect("mailbox lock");
-            for w in mailbox.drain(..) {
-                let idx = group
-                    .binary_search_by_key(&w.to, |g| g.0)
-                    .expect("wire routed to owning shard");
-                group[idx].1.queue.push(
-                    Cycle::new(w.at),
-                    Keyed {
-                        src: w.src,
-                        seq: w.seq,
-                        ev: w.ev,
-                    },
-                );
+            for (at, k) in mailbox.drain(..) {
+                queue.push(at, k);
             }
         }
-        let local_min = group
-            .iter()
-            .filter_map(|(_, c)| c.queue.peek_time())
-            .map(Cycle::as_u64)
-            .min()
-            .unwrap_or(u64::MAX);
+        let local_min = queue.peek_time().map_or(u64::MAX, Cycle::as_u64);
         shared.mins[sid].store(local_min, Ordering::Release);
         shared.barrier.wait();
 
@@ -693,49 +656,33 @@ fn run_shard<E, H: ShardHandler<E>>(
         }
         rounds += 1;
         let horizon = global_min.saturating_add(spec.lookahead).min(until);
-        loop {
-            // Earliest pending (cycle, component) on this shard; component
-            // order breaks cycle ties (group is sorted by id).
-            let mut best: Option<(u64, usize)> = None;
-            for (i, (_, c)) in group.iter().enumerate() {
-                if let Some(t) = c.queue.peek_time() {
-                    let t = t.as_u64();
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, i));
-                    }
-                }
+        while let Some(t) = queue.peek_time().filter(|t| t.as_u64() < horizon) {
+            while queue.peek_time() == Some(t) {
+                batch.push(queue.pop().expect("peeked non-empty").1);
             }
-            let Some((t, idx)) = best else { break };
-            if t >= horizon {
-                break;
-            }
-            let comp = group[idx].0;
-            while group[idx].1.queue.peek_time() == Some(Cycle::new(t)) {
-                let (_, k) = group[idx].1.queue.pop().expect("peeked non-empty");
-                batch.push(k);
-            }
-            // The deterministic same-cycle order: by source component,
-            // then the source's own issue sequence — independent of
-            // mailbox arrival interleaving.
-            batch.sort_by_key(|k| (k.src, k.seq));
+            // The deterministic same-cycle order: by target component,
+            // then source component, then the source's own issue sequence
+            // — independent of mailbox arrival interleaving.
+            batch.sort_by_key(|k| (k.comp, k.src, k.seq));
             for k in batch.drain(..) {
+                let comp = k.comp as CompId;
                 let mut out = Outbox {
                     from: comp,
-                    from_idx: idx,
-                    now: t,
+                    now: t.as_u64(),
                     lookahead: spec.lookahead,
                     shard: sid,
                     assignment: &spec.assignment,
-                    group,
+                    queue,
+                    out_seqs,
                     remote: &mut remote,
                     violations: &mut violations,
                 };
-                handler.handle(comp, Cycle::new(t), k.ev, &mut out);
+                handler.handle(comp, t, k.ev, &mut out);
                 dispatched += 1;
             }
         }
         for w in remote.drain(..) {
-            outgoing[spec.assignment[w.to]].push(w);
+            outgoing[spec.assignment[w.1.comp as usize]].push(w);
         }
         for (dest, wires) in outgoing.iter_mut().enumerate() {
             if wires.is_empty() {
@@ -976,6 +923,61 @@ mod tests {
             straight_run.dispatched,
             first.dispatched + second.dispatched
         );
+    }
+
+    #[test]
+    fn drained_calendar_is_grouped_by_component_in_pop_order() {
+        let far = EventQueue::<()>::WHEEL_CYCLES as u64;
+        // (component, cycle) in seed order: same-cycle ties within and
+        // across components, and cycles beyond one wheel window.
+        let seeds = [
+            (2, 5),
+            (0, 5),
+            (1, far + 3),
+            (0, 5),
+            (2, 1),
+            (1, 5),
+            (0, 3 * far),
+            (2, 5),
+            (1, far + 3),
+            (0, 1),
+            (2, 2 * far + 7),
+            (1, 0),
+        ];
+        let mut seqs = [0u64; 3];
+        let mut want: Vec<PendingEvent<usize>> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &(comp, at))| {
+                seqs[comp] += 1;
+                PendingEvent {
+                    comp,
+                    at: Cycle::new(at),
+                    src: comp as u32,
+                    seq: seqs[comp] - 1,
+                    ev: i,
+                }
+            })
+            .collect();
+        // Stable, so seed order breaks (component, cycle) ties.
+        want.sort_by_key(|p| (p.comp, p.at));
+        for (shards, assignment) in [(1, vec![0, 0, 0]), (2, vec![1, 0, 1])] {
+            let spec = ShardSpec {
+                components: 3,
+                shards,
+                assignment,
+                lookahead: 4,
+            };
+            let mut engine = ShardEngine::new(spec.clone());
+            for (i, &(comp, at)) in seeds.iter().enumerate() {
+                engine.seed(comp, Cycle::new(at), i);
+            }
+            let drained = engine.drain_pending();
+            assert_eq!(drained, want, "shards={shards}");
+            let mut restored = ShardEngine::new(spec);
+            restored.restore_pending(drained);
+            assert_eq!(restored.drain_pending(), want, "shards={shards} restored");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use bc_sim::{Cycle, EventQueue};
+use bc_sim::{Cycle, EventQueue, SimRng};
 use proptest::prelude::*;
 
 #[derive(Default)]
@@ -142,6 +142,60 @@ proptest! {
             let got = q.pop().map(|(t, p)| (t.as_u64(), p));
             let want = model.pop();
             prop_assert_eq!(got, want);
+            if want.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// The simulator's steady state: a standing population of tens to
+    /// hundreds of events, and after every pop up to three pushes a delay
+    /// `δ` past the popped cycle — mostly a few cycles, some within the
+    /// window, a few up to three windows out. The wheel never drains, so
+    /// overflow events can only reach it by migrating while the window
+    /// slides; the run lasts until the cursor has crossed ten rotations.
+    #[test]
+    fn steady_state_sliding_window_matches_model(
+        seed in any::<u64>(),
+        population in 20usize..300,
+    ) {
+        let n = EventQueue::<usize>::WHEEL_CYCLES as u64;
+        let mut rng = SimRng::seed_from(seed);
+        let mut q = EventQueue::new();
+        let mut model = ModelQueue::default();
+        let mut id = 0usize;
+        for _ in 0..population {
+            let at = rng.below(n);
+            q.push(Cycle::new(at), id);
+            model.push(at, id);
+            id += 1;
+        }
+        let mut now = 0;
+        while now < 10 * n {
+            let want = model.pop();
+            prop_assert_eq!(q.pop().map(|(t, p)| (t.as_u64(), p)), want, "pop diverged");
+            now = want.expect("population never drains").0;
+            let pushes = if model.len() < population {
+                1 + rng.below(3)
+            } else {
+                rng.below(2)
+            };
+            for _ in 0..pushes {
+                let delta = match rng.below(20) {
+                    0..=15 => rng.below(32),
+                    16..=18 => rng.below(n),
+                    _ => rng.below(3 * n),
+                };
+                q.push(Cycle::new(now + delta), id);
+                model.push(now + delta, id);
+                id += 1;
+            }
+            check_step(&mut q, &mut model, "step")?;
+        }
+        loop {
+            let got = q.pop().map(|(t, p)| (t.as_u64(), p));
+            let want = model.pop();
+            prop_assert_eq!(got, want, "drain diverged");
             if want.is_none() {
                 break;
             }

@@ -75,10 +75,10 @@ fn reset_gives_a_reused_engine_a_clean_slate() {
         clean.violations
     );
     #[cfg(feature = "audit")]
-    assert!(clean.queue_findings.is_empty());
+    assert!(clean.shard_queue_findings.is_empty());
 }
 
-/// Under the audit feature the per-component queues self-check pop
+/// Under the audit feature the per-shard calendars self-check pop
 /// monotonicity across their whole lifetime. Seeding a *second* schedule
 /// into the past of the first one trips that check — the documented
 /// misuse `reset()` exists for — and resetting instead starts a fresh
@@ -90,14 +90,14 @@ fn reset_restarts_the_queue_monotonicity_cursor() {
     engine.seed(0, Cycle::new(1_000), 0);
     let first = engine.run(&mut [Legal, Legal]);
     assert_eq!(first.dispatched, 1);
-    assert!(first.queue_findings.is_empty());
+    assert!(first.shard_queue_findings.is_empty());
 
-    // Reuse without reset: component 0's queue already popped cycle
-    // 1000, so a fresh seed at cycle 5 pops backwards in time.
+    // Reuse without reset: shard 0's calendar (component 0's) already
+    // popped cycle 1000, so a fresh seed at cycle 5 pops backwards in time.
     engine.seed(0, Cycle::new(5), 0);
     let stale = engine.run(&mut [Legal, Legal]);
     assert_eq!(
-        stale.queue_findings,
+        stale.shard_queue_findings,
         vec![(0, 1_000, 5)],
         "the queue self-check must catch the backwards pop"
     );
@@ -108,9 +108,9 @@ fn reset_restarts_the_queue_monotonicity_cursor() {
     let fresh = engine.run(&mut [Legal, Legal]);
     assert_eq!(fresh.dispatched, 1);
     assert!(
-        fresh.queue_findings.is_empty(),
+        fresh.shard_queue_findings.is_empty(),
         "reset must drop the stale pop cursor: {:?}",
-        fresh.queue_findings
+        fresh.shard_queue_findings
     );
 }
 

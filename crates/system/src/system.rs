@@ -1895,11 +1895,11 @@ impl System {
             }
         }
         #[cfg(feature = "audit")]
-        for (comp, prev, at) in &run.queue_findings {
+        for (shard, prev, at) in &run.shard_queue_findings {
             match &mut self.back.auditor {
                 Some(a) => a.queue_pop_order(*prev, *at),
                 None => {
-                    panic!("component {comp} queue popped cycle {at} after already popping {prev}")
+                    panic!("shard {shard} calendar popped cycle {at} after already popping {prev}")
                 }
             }
         }
