@@ -1,7 +1,5 @@
 //! The GPU-like accelerator: structure and behaviour modes.
 
-use serde::{Deserialize, Serialize};
-
 use bc_cache::set_assoc::{Cache, CacheConfig, Replacement, WritePolicy};
 use bc_cache::tlb::{Tlb, TlbConfig};
 use bc_mem::addr::Ppn;
@@ -10,7 +8,7 @@ use bc_sim::{Cycle, SimRng};
 use bc_workloads::{AccessStream, WarpOp, Workload};
 
 /// Accelerator trust behaviour (§2.1 threat vectors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Behavior {
     /// A correctly implemented accelerator.
     Correct,
@@ -50,7 +48,7 @@ impl Behavior {
 /// integrated AMD Kaveri (8 compute units, 16 KiB L1 each, 256 KiB shared
 /// L2) and a *moderately threaded* single-CU GPU with a 64 KiB L2 — "a
 /// proxy for a more latency-sensitive accelerator" (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuConfig {
     /// Number of compute units.
     pub compute_units: usize,

@@ -30,6 +30,7 @@
 use std::time::{Duration, Instant};
 
 use bc_experiments::base_config;
+use bc_experiments::schema::encode_report;
 use bc_system::{GpuClass, RunReport, SafetyModel, System, SystemConfig};
 use bc_workloads::WorkloadSize;
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -103,7 +104,7 @@ fn emit_shard_json() {
         let mut best: Option<Duration> = None;
         for _ in 0..passes {
             let (wall, report) = run_with_shards(&config, shards);
-            let json = report.to_json();
+            let json = encode_report(&report);
             match &baseline_json {
                 None => {
                     events = report.events;

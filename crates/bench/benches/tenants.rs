@@ -24,7 +24,8 @@
 
 use std::time::{Duration, Instant};
 
-use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells, tenants_matrix_json};
+use bc_experiments::schema::encode_tenants_matrix;
+use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells};
 use bc_mem::dram::MemBackend;
 use bc_system::{MultiTenantSystem, TenantsConfig, TenantsReport};
 use criterion::{criterion_group, Criterion};
@@ -85,8 +86,8 @@ fn emit_tenants_json() {
         match &baseline {
             None => baseline = Some(results),
             Some(want) => assert_eq!(
-                tenants_matrix_json(want),
-                tenants_matrix_json(&results),
+                encode_tenants_matrix(want),
+                encode_tenants_matrix(&results),
                 "tenants matrix diverged between shard counts — bench aborted"
             ),
         }

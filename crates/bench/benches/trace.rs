@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bc_experiments::matrices::{fig4, FIG4_GPUS, FIG4_SAFETIES};
+use bc_experiments::schema::encode_report;
 use bc_experiments::{SweepMatrix, SweepOptions, SweepResults, WORKLOADS};
 use bc_trace::TraceDir;
 use bc_workloads::WorkloadSize;
@@ -73,7 +74,7 @@ fn cell_reports(results: &SweepResults) -> Vec<(String, String)> {
                 .result
                 .as_ref()
                 .unwrap_or_else(|e| panic!("cell {} failed: {e}", o.label));
-            (o.label.clone(), report.to_json())
+            (o.label.clone(), encode_report(report))
         })
         .collect()
 }

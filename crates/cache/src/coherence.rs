@@ -16,10 +16,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The five MOESI states plus Invalid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceState {
     /// Not present.
     Invalid,
@@ -79,7 +77,7 @@ impl fmt::Display for CoherenceState {
 }
 
 /// Processor-side events presented to a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuEvent {
     /// Local load.
     Load,
@@ -90,7 +88,7 @@ pub enum CpuEvent {
 }
 
 /// Bus/directory-side events observed by a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusEvent {
     /// Another cache requested a shared copy.
     RemoteGetS,
@@ -102,7 +100,7 @@ pub enum BusEvent {
 }
 
 /// Actions the cache controller must perform as a result of a transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceAction {
     /// No external traffic needed.
     None,
@@ -130,7 +128,7 @@ pub enum CoherenceAction {
 /// assert_eq!(act, CoherenceAction::IssueGetS);
 /// assert_eq!(line.state(), CoherenceState::Exclusive);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoesiLine {
     state: CoherenceState,
 }

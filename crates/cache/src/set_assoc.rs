@@ -7,15 +7,13 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 
-use serde::{Deserialize, Serialize};
-
 use bc_mem::addr::{PhysAddr, Ppn};
 use bc_sim::fxmap::FxHashMap;
 use bc_sim::stats::{Counter, HitMiss};
 use bc_sim::SimRng;
 
 /// Kind of access presented to a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
     /// A load (or instruction fetch).
     Read,
@@ -32,7 +30,7 @@ impl Access {
 }
 
 /// Write handling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritePolicy {
     /// Write-back, write-allocate: stores dirty the line; misses allocate.
     /// Used for the GPU's shared L2 in the paper's system.
@@ -44,7 +42,7 @@ pub enum WritePolicy {
 }
 
 /// Replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// True least-recently-used via a use clock.
     Lru,
@@ -53,7 +51,7 @@ pub enum Replacement {
 }
 
 /// Static cache geometry and policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

@@ -8,15 +8,13 @@
 //! requests made with stale translations" (§2.1). The buggy-accelerator
 //! model simply skips calling [`Tlb::invalidate`]/[`Tlb::flush_asid`].
 
-use serde::{Deserialize, Serialize};
-
 use bc_mem::addr::{Asid, PageSize, Ppn, Vpn};
 use bc_mem::perms::PagePerms;
 use bc_sim::fxmap::FxHashMap;
 use bc_sim::stats::HitMiss;
 
 /// TLB geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total 4 KiB entries.
     pub entries: usize,
@@ -51,7 +49,7 @@ impl TlbConfig {
 }
 
 /// One cached translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbEntry {
     /// Address space the translation belongs to.
     pub asid: Asid,

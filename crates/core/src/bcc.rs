@@ -5,8 +5,6 @@
 // every array access, so unchecked indexing cannot go out of bounds.
 #![allow(clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
-
 use bc_mem::addr::Ppn;
 use bc_mem::perms::PagePerms;
 use bc_sim::stats::HitMiss;
@@ -19,7 +17,7 @@ use crate::table::PAGES_PER_BLOCK;
 /// physical pages' permissions, "similar to a subblock TLB" (§3.1.2).
 /// The paper's default — 64 entries × 512 pages/entry — is 8 KiB of
 /// permission bits with a 128 MiB reach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BccConfig {
     /// Number of entries.
     pub entries: usize,

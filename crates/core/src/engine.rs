@@ -1,8 +1,6 @@
 //! The Border Control engine: the hardware at the untrusted-to-trusted
 //! border, implementing the event flows of the paper's Figure 3.
 
-use serde::{Deserialize, Serialize};
-
 use bc_cache::tlb::TlbEntry;
 use bc_mem::addr::{Asid, Ppn};
 use bc_mem::dram::Dram;
@@ -23,7 +21,7 @@ use crate::table::ProtectionTable;
 /// flush everything — "if the entire accelerator cache is flushed, the
 /// Protection Table can be zeroed and the BCC and accelerator TLB can be
 /// invalidated" — or selectively flush only the affected page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FlushPolicy {
     /// Flush all accelerator caches, zero the Protection Table, invalidate
     /// the BCC and accelerator TLB. This is the implementation the paper
@@ -59,7 +57,7 @@ impl FlushPolicy {
 }
 
 /// Border Control configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BorderControlConfig {
     /// BCC geometry; `None` gives the Border Control-noBCC configuration
     /// of Table 2 (every check reads the Protection Table in memory).

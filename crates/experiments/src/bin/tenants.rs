@@ -13,7 +13,8 @@
 //! report byte (the determinism suite proves the cross product).
 //! `--json` appends the machine-readable matrix document.
 
-use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells, tenants_matrix_json};
+use bc_experiments::schema::{encode_tenants_matrix, encode_tenants_report};
+use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells};
 use bc_experiments::{audit_from_args, jobs_from_args, print_matrix, shards_from_args};
 use bc_mem::dram::MemBackend;
 use bc_system::TenantsConfig;
@@ -111,11 +112,11 @@ fn main() {
         assert!(
             r.audit_clean(),
             "audit findings in cell {label}:\n{}",
-            r.to_json()
+            encode_tenants_report(r)
         );
     }
     if args.iter().any(|a| a == "--json") {
         println!();
-        print!("{}", tenants_matrix_json(&results));
+        print!("{}", encode_tenants_matrix(&results));
     }
 }

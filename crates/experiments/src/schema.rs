@@ -1,5 +1,6 @@
-//! Canonical, versioned serialization for [`SystemConfig`] and
-//! [`RunReport`].
+//! Canonical, versioned serialization for [`SystemConfig`],
+//! [`RunReport`] and [`TenantsReport`]: the one module that writes and
+//! reads the workspace's JSON documents.
 // bc-lint: allow-file(float) — the codec must spell and re-read the
 // config's existing f64 fields; shortest-round-trip formatting only, no
 // arithmetic on the values.
@@ -9,8 +10,11 @@
 //! the configuration needs a *canonical* byte encoding: one spelling per
 //! value, stable across processes, hosts and PRs (until deliberately
 //! versioned). This module provides it, plus the matching decoder with
-//! typed errors, and a decoder for the report serialization that
-//! [`RunReport::to_json`] has always pinned via the golden snapshots.
+//! typed errors. It also writes every report: [`encode_report`] next to
+//! its inverse [`decode_report`] (the bytes the golden snapshots, the
+//! cache and the determinism suites compare), and [`encode_tenants_report`]
+//! / [`encode_tenants_matrix`] for the multi-tenant experiment. Every
+//! document is assembled from the token writers in [`json`].
 //!
 //! Canonical form is JSON text with:
 //!
@@ -40,6 +44,7 @@ use bc_os::ViolationPolicy;
 use bc_sim::audit::{AuditFinding, AuditKind, AuditReport};
 use bc_system::{
     AbortReason, GpuClass, HostActivityConfig, HotProfile, RunReport, SafetyModel, SystemConfig,
+    TenantsReport,
 };
 use bc_workloads::WorkloadSize;
 
@@ -131,105 +136,77 @@ impl From<JsonError> for SchemaError {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn f64_canonical(v: f64) -> String {
-    // `{:?}` is the shortest decimal form that round-trips, and is valid
-    // JSON for finite values. Non-finite values have no JSON spelling and
-    // no business in a config; encode as null so decode rejects loudly.
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn behavior_json(b: &Behavior) -> String {
     match b {
-        Behavior::Correct => "{\"kind\": \"correct\"}".to_string(),
-        Behavior::BuggyStaleTlb => "{\"kind\": \"buggy-stale-tlb\"}".to_string(),
+        Behavior::Correct => json::object(&[("kind", json::quote("correct"))]),
+        Behavior::BuggyStaleTlb => json::object(&[("kind", json::quote("buggy-stale-tlb"))]),
         Behavior::Malicious {
             probe_period,
             probe_writes,
-        } => format!(
-            "{{\"kind\": \"malicious\", \"probe_period\": {probe_period}, \
-             \"probe_writes\": {probe_writes}}}"
-        ),
+        } => json::object(&[
+            ("kind", json::quote("malicious")),
+            ("probe_period", probe_period.to_string()),
+            ("probe_writes", probe_writes.to_string()),
+        ]),
     }
 }
 
 fn dram_json(d: &DramConfig) -> String {
-    format!(
-        "{{\"access_latency\": {}, \"service_per_block\": {}, \"channels\": {}, \
-         \"backend\": \"{}\"}}",
-        d.access_latency,
-        d.service_per_block,
-        d.channels,
-        d.backend.label()
-    )
+    json::object(&[
+        ("access_latency", d.access_latency.to_string()),
+        ("service_per_block", d.service_per_block.to_string()),
+        ("channels", d.channels.to_string()),
+        ("backend", json::quote(d.backend.label())),
+    ])
 }
 
 fn ats_json(a: &AtsConfig) -> String {
-    format!(
-        "{{\"iotlb_entries\": {}, \"iotlb_ways\": {}, \"iotlb_latency\": {}, \
-         \"walkers\": {}, \"pwc_entries\": {}, \"fault_latency\": {}}}",
-        a.iotlb_entries, a.iotlb_ways, a.iotlb_latency, a.walkers, a.pwc_entries, a.fault_latency
-    )
+    json::object(&[
+        ("iotlb_entries", a.iotlb_entries.to_string()),
+        ("iotlb_ways", a.iotlb_ways.to_string()),
+        ("iotlb_latency", a.iotlb_latency.to_string()),
+        ("walkers", a.walkers.to_string()),
+        ("pwc_entries", a.pwc_entries.to_string()),
+        ("fault_latency", a.fault_latency.to_string()),
+    ])
 }
 
 fn bcc_json(b: &BccConfig) -> String {
-    format!(
-        "{{\"entries\": {}, \"pages_per_entry\": {}, \"ways\": {}, \"latency\": {}}}",
-        b.entries, b.pages_per_entry, b.ways, b.latency
-    )
+    json::object(&[
+        ("entries", b.entries.to_string()),
+        ("pages_per_entry", b.pages_per_entry.to_string()),
+        ("ways", b.ways.to_string()),
+        ("latency", b.latency.to_string()),
+    ])
 }
 
-fn host_json(h: &Option<HostActivityConfig>) -> String {
-    match h {
-        None => "null".to_string(),
-        Some(h) => format!(
-            "{{\"period\": {}, \"shared_fraction\": {}, \"write_fraction\": {}, \
-             \"private_bytes\": {}}}",
-            h.period,
-            f64_canonical(h.shared_fraction),
-            f64_canonical(h.write_fraction),
-            h.private_bytes
-        ),
-    }
+fn host_json(h: &HostActivityConfig) -> String {
+    json::object(&[
+        ("period", h.period.to_string()),
+        ("shared_fraction", json::float(h.shared_fraction)),
+        ("write_fraction", json::float(h.write_fraction)),
+        ("private_bytes", h.private_bytes.to_string()),
+    ])
 }
 
 /// Encodes a [`SystemConfig`] in canonical form. Every field is present,
 /// in struct declaration order, under a `schema` version envelope.
 #[must_use]
 pub fn encode_config(c: &SystemConfig) -> String {
-    let fields: Vec<(&str, String)> = vec![
+    json::document(&[
         ("schema", SCHEMA_VERSION.to_string()),
-        ("safety", format!("\"{}\"", esc(c.safety.label()))),
-        ("gpu_class", format!("\"{}\"", esc(c.gpu_class.label()))),
+        ("safety", json::quote(c.safety.label())),
+        ("gpu_class", json::quote(c.gpu_class.label())),
         ("behavior", behavior_json(&c.behavior)),
-        ("workload", format!("\"{}\"", esc(&c.workload))),
-        ("size", format!("\"{}\"", c.size.label())),
+        ("workload", json::quote(&c.workload)),
+        ("size", json::quote(c.size.label())),
         ("seed", c.seed.to_string()),
         ("phys_bytes", c.phys_bytes.to_string()),
         ("dram", dram_json(&c.dram)),
         ("ats", ats_json(&c.ats)),
         ("bcc", bcc_json(&c.bcc)),
         ("parallel_read_check", c.parallel_read_check.to_string()),
-        ("flush_policy", format!("\"{}\"", c.flush_policy.label())),
+        ("flush_policy", json::quote(c.flush_policy.label())),
         (
             "trusted_distance_penalty",
             c.trusted_distance_penalty.to_string(),
@@ -246,30 +223,23 @@ pub fn encode_config(c: &SystemConfig) -> String {
             "downgrade_drain_cycles",
             c.downgrade_drain_cycles.to_string(),
         ),
-        (
-            "violation_policy",
-            format!("\"{}\"", c.violation_policy.label()),
-        ),
+        ("violation_policy", json::quote(c.violation_policy.label())),
         ("use_huge_pages", c.use_huge_pages.to_string()),
-        ("host_activity", host_json(&c.host_activity)),
+        (
+            "host_activity",
+            json::nullable(c.host_activity.as_ref().map(host_json)),
+        ),
         ("record_check_stream", c.record_check_stream.to_string()),
         ("trace", c.trace.to_string()),
         (
             "max_ops_per_wavefront",
-            c.max_ops_per_wavefront
-                .map(|n| n.to_string())
-                .unwrap_or_else(|| "null".to_string()),
+            json::nullable(c.max_ops_per_wavefront.map(|n| n.to_string())),
         ),
         ("max_cycles", c.max_cycles.to_string()),
         ("audit", c.audit.to_string()),
         ("shards", c.shards.to_string()),
         ("cluster_hop_latency", c.cluster_hop_latency.to_string()),
-    ];
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    format!("{{\n{}\n}}\n", body.join(",\n"))
+    ])
 }
 
 /// The exact bytes a cell's cache key hashes: the canonical config
@@ -284,22 +254,165 @@ pub fn encode_config(c: &SystemConfig) -> String {
 pub fn config_key_material(config: &SystemConfig, code_rev: &str) -> String {
     let mut normalized = config.clone();
     normalized.shards = 1;
-    format!(
-        "{{\"code_rev\": \"{}\", \"config\": {}}}",
-        esc(code_rev),
-        encode_config(&normalized)
-    )
+    json::object(&[
+        ("code_rev", json::quote(code_rev)),
+        ("config", encode_config(&normalized)),
+    ])
 }
 
-/// Encodes a [`RunReport`] in canonical form.
-///
-/// This *is* [`RunReport::to_json`] — the format the golden snapshots
-/// under `tests/goldens/` have pinned since PR 3. It is re-exported here
-/// so the schema module names both directions of the pair the cache
-/// stores ([`decode_report`] is the inverse).
+fn pair_json((a, b): (u64, u64)) -> String {
+    json::array(&[a, b])
+}
+
+fn audit_json(a: &AuditReport) -> String {
+    let findings: Vec<String> = a
+        .findings
+        .iter()
+        .map(|f| {
+            json::object(&[
+                ("kind", json::quote(f.kind.label())),
+                ("at", f.at.to_string()),
+                ("detail", json::quote(&f.detail)),
+            ])
+        })
+        .collect();
+    json::object(&[
+        ("assertions", a.assertions.to_string()),
+        ("findings", json::array(&findings)),
+    ])
+}
+
+fn hot_profile_json(hp: &HotProfile) -> String {
+    let (wr, io, dg, ct) = hp.event_counts;
+    json::object(&[
+        ("event_counts", json::array(&[wr, io, dg, ct])),
+        ("store_fast_hits", hp.store_fast_hits.to_string()),
+        ("store_slow_hits", hp.store_slow_hits.to_string()),
+        ("page_flushes", hp.page_flushes.to_string()),
+        ("flush_scan_lines", hp.flush_scan_lines.to_string()),
+    ])
+}
+
+/// Encodes a [`RunReport`] in canonical form: the format the golden
+/// snapshots under `tests/goldens/` pin byte for byte, and the payload
+/// `bc-serve` files under each cell's key ([`decode_report`] is the
+/// inverse). Fields follow the struct's order except `events`, which
+/// precedes `block_accesses`. `violations` is omitted (`violation_count`
+/// carries the count), and `hot_profile` is written only when present,
+/// so default-feature reports never carry it.
 #[must_use]
 pub fn encode_report(r: &RunReport) -> String {
-    r.to_json()
+    let (attempted, blocked, succeeded) = r.probes;
+    let mut fields = vec![
+        ("safety", json::quote(&r.safety)),
+        ("workload", json::quote(&r.workload)),
+        ("gpu_class", json::quote(&r.gpu_class)),
+        ("cycles", r.cycles.to_string()),
+        ("ops", r.ops.to_string()),
+        ("events", r.events.to_string()),
+        ("block_accesses", r.block_accesses.to_string()),
+        ("aborted", r.aborted.to_string()),
+        (
+            "abort_reason",
+            json::nullable(r.abort_reason.map(|a| json::quote(a.label()))),
+        ),
+        ("accel_disabled", r.accel_disabled.to_string()),
+        ("violation_count", r.violation_count.to_string()),
+        ("bc_checks", r.bc_checks.to_string()),
+        (
+            "bcc_hits_misses",
+            json::nullable(r.bcc_hits_misses.map(pair_json)),
+        ),
+        ("pt_reads_writes", pair_json(r.pt_reads_writes)),
+        ("dram_reads_writes", pair_json(r.dram_reads_writes)),
+        ("dram_utilization", json::float(r.dram_utilization)),
+        ("l1", json::nullable(r.l1.map(pair_json))),
+        ("l2", json::nullable(r.l2.map(pair_json))),
+        ("l1_tlb", json::nullable(r.l1_tlb.map(pair_json))),
+        ("iotlb", pair_json(r.iotlb)),
+        (
+            "ats_translations_walks",
+            pair_json(r.ats_translations_walks),
+        ),
+        ("minor_faults", r.minor_faults.to_string()),
+        ("downgrades", r.downgrades.to_string()),
+        ("probes", json::array(&[attempted, blocked, succeeded])),
+        (
+            "host",
+            json::nullable(r.host.map(|(a, b, c)| json::array(&[a, b, c]))),
+        ),
+        ("audit", json::nullable(r.audit.as_ref().map(audit_json))),
+    ];
+    if let Some(hp) = &r.hot_profile {
+        fields.push(("hot_profile", hot_profile_json(hp)));
+    }
+    json::document(&fields)
+}
+
+/// Encodes a [`TenantsReport`] in canonical form: one field per line in
+/// struct order, audit findings as their display strings.
+#[must_use]
+pub fn encode_tenants_report(r: &TenantsReport) -> String {
+    let (attempted, blocked, lucky) = r.probes;
+    let audit = r.audit.as_ref().map(|a| {
+        let findings: Vec<String> = a
+            .findings
+            .iter()
+            .map(|f| json::quote(&f.to_string()))
+            .collect();
+        json::object(&[
+            ("assertions", a.assertions.to_string()),
+            ("findings", json::array(&findings)),
+        ])
+    });
+    json::document(&[
+        ("tenants", r.tenants.to_string()),
+        ("accels", r.accels.to_string()),
+        ("mem_backend", json::quote(&r.mem_backend)),
+        ("seed", r.seed.to_string()),
+        ("cycles", r.cycles.to_string()),
+        ("events", r.events.to_string()),
+        ("completed", r.completed.to_string()),
+        ("killed", r.killed.to_string()),
+        ("aborted", r.aborted.to_string()),
+        ("completion_p50", r.completion_p50.to_string()),
+        ("completion_p95", r.completion_p95.to_string()),
+        ("completion_p99", r.completion_p99.to_string()),
+        ("kill_p50", r.kill_p50.to_string()),
+        ("kill_p95", r.kill_p95.to_string()),
+        ("kill_p99", r.kill_p99.to_string()),
+        ("binds", r.binds.to_string()),
+        ("preempts", r.preempts.to_string()),
+        ("pt_zero_blocks", r.pt_zero_blocks.to_string()),
+        ("storms", r.storms.to_string()),
+        ("probes", json::array(&[attempted, blocked, lucky])),
+        ("violations", r.violations.to_string()),
+        ("checks", r.checks.to_string()),
+        ("translations", r.translations.to_string()),
+        ("walks", r.walks.to_string()),
+        ("dram_reads", r.dram_reads.to_string()),
+        ("dram_writes", r.dram_writes.to_string()),
+        ("audit", json::nullable(audit)),
+    ])
+}
+
+/// Encodes a tenants grid's results as one document keyed by cell label,
+/// each cell's [`encode_tenants_report`] indented beneath its key: the
+/// `tenants --json` output and the byte-equality surface of the
+/// determinism suite and the tenants bench.
+#[must_use]
+pub fn encode_tenants_matrix(results: &[(String, TenantsReport)]) -> String {
+    let cells: Vec<String> = results
+        .iter()
+        .map(|(label, report)| {
+            let body: Vec<String> = encode_tenants_report(report)
+                .lines()
+                .map(|line| format!("  {line}"))
+                .collect();
+            format!("  {}:\n{}", json::quote(label), body.join("\n"))
+        })
+        .collect();
+    format!("{{\n{}\n}}\n", cells.join(",\n"))
 }
 
 // ---------------------------------------------------------------------------
@@ -684,10 +797,9 @@ fn decode_hot_profile(v: &Value) -> Result<HotProfile, SchemaError> {
     Ok(out)
 }
 
-/// Decodes a serialized report ([`RunReport::to_json`] / the golden
-/// snapshot format) back into a [`RunReport`]. The `violations` vector is
-/// not serialized (`#[serde(skip)]` in the struct) and decodes empty;
-/// `violation_count` carries the count.
+/// Decodes a serialized report ([`encode_report`] / the golden snapshot
+/// format) back into a [`RunReport`]. The `violations` vector is not
+/// serialized and decodes empty; `violation_count` carries the count.
 pub fn decode_report(text: &str) -> Result<RunReport, SchemaError> {
     let value = json::parse(text)?;
     let mut obj = Obj::new("", &value)?;
@@ -804,7 +916,7 @@ pub fn decode_report(text: &str) -> Result<RunReport, SchemaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_system::{System, SystemConfig};
+    use bc_system::{MultiTenantSystem, System, SystemConfig, TenantsConfig};
 
     fn exotic_config() -> SystemConfig {
         let mut c = SystemConfig::table3_defaults();
@@ -934,9 +1046,114 @@ mod tests {
         let report = System::build(&config).expect("builds").run();
         let encoded = encode_report(&report);
         let decoded = decode_report(&encoded).expect("report decodes");
-        assert_eq!(decoded.to_json(), encoded);
+        assert_eq!(encode_report(&decoded), encoded);
         assert_eq!(decoded.cycles, report.cycles);
         assert_eq!(decoded.events, report.events);
+    }
+
+    fn sample_report() -> RunReport {
+        RunReport {
+            safety: "x".into(),
+            workload: "w".into(),
+            gpu_class: "g".into(),
+            cycles: 1000,
+            ops: 10,
+            events: 15,
+            block_accesses: 20,
+            aborted: false,
+            abort_reason: None,
+            accel_disabled: false,
+            violations: Vec::new(),
+            violation_count: 0,
+            bc_checks: 50,
+            bcc_hits_misses: Some((90, 10)),
+            pt_reads_writes: (1, 2),
+            dram_reads_writes: (3, 4),
+            dram_utilization: 0.5,
+            l1: Some((100, 10)),
+            l2: Some((10, 5)),
+            l1_tlb: Some((100, 1)),
+            iotlb: (10, 2),
+            ats_translations_walks: (10, 2),
+            minor_faults: 3,
+            downgrades: 0,
+            probes: (0, 0, 0),
+            host: None,
+            audit: None,
+            hot_profile: None,
+        }
+    }
+
+    fn finding(detail: &str) -> AuditFinding {
+        AuditFinding {
+            kind: AuditKind::EventInPast,
+            at: 7,
+            detail: detail.to_string(),
+        }
+    }
+
+    #[test]
+    fn report_shape_and_escaping() {
+        let mut r = sample_report();
+        r.workload = "n\"n\\x".into();
+        r.abort_reason = Some(AbortReason::CycleLimit);
+        r.audit = Some(AuditReport {
+            findings: vec![finding("line1\nline2")],
+            assertions: 3,
+        });
+        let j = encode_report(&r);
+        assert!(j.starts_with("{\n"), "{j}");
+        assert!(j.ends_with("}\n"), "{j}");
+        assert!(j.contains("\"workload\": \"n\\\"n\\\\x\""), "{j}");
+        assert!(j.contains("\"events\": 15"), "{j}");
+        assert!(
+            j.contains("\"abort_reason\": \"cycle valve tripped\""),
+            "{j}"
+        );
+        assert!(j.contains("\"bcc_hits_misses\": [90, 10]"), "{j}");
+        assert!(j.contains("\"dram_utilization\": 0.5"), "{j}");
+        assert!(j.contains("\"kind\": \"event-in-past\""), "{j}");
+        assert!(j.contains("\"detail\": \"line1\\nline2\""), "{j}");
+        // The strict parser reads back what the writer escaped, and a
+        // default-feature report carries no hot_profile.
+        let v = json::parse(&j).expect("encoded report is JSON");
+        assert_eq!(v.get("workload").and_then(Value::as_str), Some("n\"n\\x"));
+        let detail = match v.get("audit").and_then(|a| a.get("findings")) {
+            Some(Value::Array(items)) => items[0].get("detail").and_then(Value::as_str),
+            other => panic!("findings: {other:?}"),
+        };
+        assert_eq!(detail, Some("line1\nline2"));
+        assert_eq!(v.get("hot_profile"), None);
+    }
+
+    #[test]
+    fn tenants_report_escapes_control_characters() {
+        let config = TenantsConfig {
+            tenants: 2,
+            accels: 1,
+            ops_per_tenant: 8,
+            audit: true,
+            ..TenantsConfig::default()
+        };
+        let mut report = MultiTenantSystem::build(&config).expect("builds").run();
+        let bad = finding("line1\nline2 \"quoted\" back\\slash \u{1}");
+        report.audit = Some(AuditReport {
+            findings: vec![bad.clone()],
+            assertions: 1,
+        });
+        let text = encode_tenants_report(&report);
+        let v = json::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert_eq!(
+            v.get("completion_p99").and_then(Value::as_u64),
+            Some(report.completion_p99)
+        );
+        assert_eq!(
+            v.get("audit").and_then(|a| a.get("findings")),
+            Some(&Value::Array(vec![Value::String(bad.to_string())]))
+        );
+        let matrix = encode_tenants_matrix(&[("local-dram".to_string(), report)]);
+        let v = json::parse(&matrix).unwrap_or_else(|e| panic!("{e}:\n{matrix}"));
+        assert!(v.get("local-dram").and_then(|c| c.get("audit")).is_some());
     }
 
     #[test]
@@ -949,6 +1166,6 @@ mod tests {
         assert!(report.audit.is_some());
         let encoded = encode_report(&report);
         let decoded = decode_report(&encoded).expect("audited report decodes");
-        assert_eq!(decoded.to_json(), encoded);
+        assert_eq!(encode_report(&decoded), encoded);
     }
 }

@@ -1,11 +1,14 @@
-//! A minimal, strict JSON parser for the canonical schema.
+//! JSON for the canonical schema: the writer's token spellings and a
+//! minimal, strict parser.
 // bc-lint: allow-file(float) — JSON number tokens are validated and
 // surfaced via f64 on demand; integers re-parse from the source token,
-// never through a float.
+// never through a float. The writer spells floats, never computes them.
 //!
-//! The vendored `serde` stand-in has no real JSON support (see
-//! `vendor/README.md`), so the schema codec parses its own. Two
-//! properties matter more than generality:
+//! The workspace has no JSON dependency, so every document the schema
+//! writes is assembled from the functions here ([`quote`], [`float`],
+//! [`array`], [`object`], [`document`]) — one spelling per token — and
+//! read back by [`parse`]. Two properties of the parser matter more than
+//! generality:
 //!
 //! * **integers stay exact** — [`Value::Number`] keeps the source token
 //!   and re-parses it as `u64`/`i64`/`f64` on demand, so a 64-bit seed
@@ -15,6 +18,97 @@
 //!   leniently-parsed config would alias distinct cache keys.
 
 use std::fmt;
+use std::fmt::Write as _;
+
+/// `s` as a JSON string literal, quotes included. `"` and `\` are
+/// backslash-escaped, `\n`/`\r`/`\t` use their short forms, and every
+/// other control character is `\u00XX`; everything else, non-ASCII
+/// included, is copied through.
+#[must_use]
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// `v` in Rust's shortest round-trip decimal form (`{:?}`), which is
+/// valid JSON for every finite value. Non-finite values have no JSON
+/// spelling and become `null`, which every decoder of a number rejects.
+#[must_use]
+pub fn float(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// `[a, b, ...]` of already-encoded values (numbers are their own
+/// encoding).
+#[must_use]
+pub fn array<T: fmt::Display>(items: &[T]) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{item}");
+    }
+    out.push(']');
+    out
+}
+
+/// `{"key": value, ...}` on one line, keys in the order given, values
+/// already encoded.
+#[must_use]
+pub fn object(fields: &[(&str, String)]) -> String {
+    fields_json(fields, "{", ", ", "}")
+}
+
+/// The canonical top-level layout: one `"key": value` field per line,
+/// indented two spaces, in the order given, with a trailing newline.
+#[must_use]
+pub fn document(fields: &[(&str, String)]) -> String {
+    fields_json(fields, "{\n  ", ",\n  ", "\n}\n")
+}
+
+fn fields_json(fields: &[(&str, String)], open: &str, sep: &str, close: &str) -> String {
+    let mut out = String::from(open);
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        push_quoted(&mut out, key);
+        out.push_str(": ");
+        out.push_str(value);
+    }
+    out.push_str(close);
+    out
+}
+
+/// `value`, or `null` when absent.
+#[must_use]
+pub fn nullable(value: Option<String>) -> String {
+    value.unwrap_or_else(|| "null".to_string())
+}
 
 /// Maximum nesting depth; canonical documents are ~3 levels deep, so
 /// anything past this is hostile or corrupt input, not a real config.

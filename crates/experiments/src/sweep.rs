@@ -32,7 +32,6 @@
 //! common case that builds and runs each cell's `System` into a
 //! [`RunReport`].
 
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -85,8 +84,8 @@ pub struct CellOutcome<T> {
 /// identity [`System::restore`] enforces, wrapped with the simulator
 /// revision so a code change invalidates every checkpoint at once. A hit
 /// restores the snapshot and simulates only the tail past `cut`; a miss
-/// runs the prefix, publishes the snapshot (temp file + rename, so
-/// concurrent sweeps racing on one key both win), **then restores from
+/// runs the prefix, publishes the snapshot ([`bc_sim::store::publish`],
+/// so concurrent sweeps racing on one key both win), **then restores from
 /// those same bytes** and finishes — producer and consumer go through
 /// identical restore machinery, so fork identity holds by construction
 /// and cold/warm reports cannot diverge. A stale or corrupt checkpoint is
@@ -413,7 +412,9 @@ fn run_cell(
     let bytes = system.snapshot_to(Cycle::new(warm.cut), CODE_REV);
     // Publish best-effort: an unwritable checkpoint dir only loses the
     // speedup for the next sweep, never the run.
-    if let Err(e) = publish_checkpoint(&warm.dir, &path, &bytes) {
+    let published =
+        std::fs::create_dir_all(&warm.dir).and_then(|()| bc_sim::store::publish(&path, &bytes));
+    if let Err(e) = published {
         eprintln!(
             "warm-start: could not write checkpoint for '{}': {e}",
             cell.label
@@ -424,26 +425,6 @@ fn run_cell(
     System::restore(&cell.config, &bytes, CODE_REV, source)
         .map(|mut system| system.run())
         .map_err(|e| format!("restore of freshly cut snapshot failed: {e}"))
-}
-
-/// Atomically publishes checkpoint `bytes` at `path` via a unique temp
-/// file plus rename, so concurrent sweeps racing on one key never observe
-/// a half-written snapshot.
-fn publish_checkpoint(dir: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "checkpoint".to_string());
-    // The PID only uniquifies a temp file name; it never reaches
-    // simulation state or the published bytes.
-    let tmp = dir.join(format!(".tmp.{}.{name}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// Derives a cell seed from the matrix seed and cell coordinates alone

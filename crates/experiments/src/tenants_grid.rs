@@ -2,7 +2,8 @@
 //!
 //! The `tenants` binary, the determinism suite and the `tenants` bench
 //! all sweep the same grid — memory backends crossed with a base
-//! [`TenantsConfig`] — through this module, so "the binary's numbers",
+//! [`TenantsConfig`] — through this module, and encode the results with
+//! [`crate::schema::encode_tenants_matrix`], so "the binary's numbers",
 //! "the bytes the determinism test compares" and "the bench's JSON" are
 //! one code path.
 
@@ -68,26 +69,4 @@ pub fn run_tenants_cells(cells: &[TenantsCell], jobs: usize) -> Vec<(String, Ten
             (cell.label.clone(), report)
         })
         .collect()
-}
-
-/// Concatenates the cells' reports into one deterministic JSON document
-/// keyed by label — the byte-equality surface for the determinism suite
-/// and the bench artifact.
-#[must_use]
-pub fn tenants_matrix_json(results: &[(String, TenantsReport)]) -> String {
-    let body = results
-        .iter()
-        .map(|(label, report)| {
-            let cell = report
-                .to_json()
-                .trim_end()
-                .lines()
-                .map(|l| format!("  {l}"))
-                .collect::<Vec<_>>()
-                .join("\n");
-            format!("  \"{label}\":\n{}", cell.trim_end())
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n{body}\n}}\n")
 }

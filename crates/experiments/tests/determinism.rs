@@ -1,7 +1,9 @@
 //! Determinism guarantees of the simulator and the sweep engine.
 //!
-//! Two properties, both asserted on serde-serialized `RunReport`s so a
-//! regression anywhere in the report surfaces as a byte-level diff:
+//! Two properties, both asserted on each `RunReport`'s canonical bytes
+//! (`schema::encode_report`) plus its violation list — the one field the
+//! canonical form omits — so a regression anywhere in the report
+//! surfaces as a byte-level diff:
 //!
 //! 1. Running the *same* `SystemConfig` twice yields byte-identical
 //!    reports — the simulator derives everything from the config seed.
@@ -9,13 +11,21 @@
 //!    yields byte-identical reports for every cell — results depend on
 //!    cell coordinates, never on thread scheduling.
 
-use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells, tenants_matrix_json};
+use bc_experiments::schema::{encode_report, encode_tenants_matrix};
+use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells};
 use bc_experiments::{
     base_config, matrices, run_cells_with, SweepCell, SweepMatrix, SweepOptions, WORKLOADS,
 };
 use bc_mem::dram::MemBackend;
-use bc_system::{GpuClass, SafetyModel, System, TenantsConfig};
+use bc_os::Violation;
+use bc_system::{GpuClass, RunReport, SafetyModel, System, TenantsConfig};
 use bc_workloads::WorkloadSize;
+
+/// Everything a report holds: its canonical bytes plus the violation
+/// list those bytes summarize as `violation_count`.
+fn fingerprint(r: &RunReport) -> (String, Vec<Violation>) {
+    (encode_report(r), r.violations.clone())
+}
 
 #[test]
 fn same_config_runs_byte_identical() {
@@ -26,8 +36,8 @@ fn same_config_runs_byte_identical() {
     let second = System::build(&config).expect("build").run();
 
     assert_eq!(
-        serde::to_string(&first),
-        serde::to_string(&second),
+        fingerprint(&first),
+        fingerprint(&second),
         "two runs of the same config diverged"
     );
 }
@@ -58,8 +68,8 @@ fn sweep_reports_are_independent_of_thread_count() {
         let s_report = s.result.as_ref().expect("serial cell failed");
         let p_report = p.result.as_ref().expect("parallel cell failed");
         assert_eq!(
-            serde::to_string(s_report),
-            serde::to_string(p_report),
+            fingerprint(s_report),
+            fingerprint(p_report),
             "cell {} diverged between --jobs 1 and --jobs 8",
             s.label
         );
@@ -68,8 +78,12 @@ fn sweep_reports_are_independent_of_thread_count() {
 
 /// Runs a matrix's cells at a reduced per-wavefront op cap (the full tiny
 /// cap across all ~300 production cells would dominate the suite's wall
-/// time) and returns each cell's serialized report, in matrix order.
-fn run_capped(cells: &[SweepCell], jobs: usize, shards: usize) -> Vec<(String, String)> {
+/// time) and returns each cell's report fingerprint, in matrix order.
+fn run_capped(
+    cells: &[SweepCell],
+    jobs: usize,
+    shards: usize,
+) -> Vec<(String, (String, Vec<Violation>))> {
     let capped: Vec<SweepCell> = cells
         .iter()
         .map(|c| {
@@ -84,7 +98,7 @@ fn run_capped(cells: &[SweepCell], jobs: usize, shards: usize) -> Vec<(String, S
         let report = System::build(&cell.config)
             .map_err(|e| format!("build failed: {e}"))?
             .run();
-        Ok(serde::to_string(&report))
+        Ok(fingerprint(&report))
     })
     .into_iter()
     .map(|o| (o.label.clone(), o.result.expect("cell failed")))
@@ -162,7 +176,7 @@ fn tenants_matrix_is_jobs_and_shards_independent() {
             ..TenantsConfig::default()
         };
         let cells = tenants_cells(&base, &[MemBackend::LocalDram, MemBackend::CxlPool]);
-        tenants_matrix_json(&run_tenants_cells(&cells, jobs))
+        encode_tenants_matrix(&run_tenants_cells(&cells, jobs))
     };
 
     let baseline = matrix_json(1, 1);

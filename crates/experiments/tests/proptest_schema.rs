@@ -1,4 +1,4 @@
-//! Property tests for the canonical config schema.
+//! Property tests for the canonical schema.
 //!
 //! The cache-key contract (`bc-serve`) requires that for *any* reachable
 //! [`SystemConfig`] — not just the handful of matrix shapes the figure
@@ -6,15 +6,20 @@
 //! byte, and that key material is sensitive to everything except the
 //! shard count. These tests drive the whole coordinate space: every enum
 //! axis, u64 seeds up to `u64::MAX`, optional fields both ways, and float
-//! knobs in the host-activity config.
+//! knobs in the host-activity config. The report codec is held to the
+//! same round trip over generated [`RunReport`]s.
 
 use bc_accel::Behavior;
 use bc_core::FlushPolicy;
 use bc_experiments::schema::{self, SchemaError};
 use bc_mem::MemBackend;
 use bc_os::ViolationPolicy;
-use bc_system::{GpuClass, HostActivityConfig, SafetyModel, SystemConfig};
+use bc_sim::audit::{AuditFinding, AuditKind, AuditReport};
+use bc_system::{
+    AbortReason, GpuClass, HostActivityConfig, HotProfile, RunReport, SafetyModel, SystemConfig,
+};
 use bc_workloads::WorkloadSize;
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 const WORKLOAD_NAMES: [&str; 8] = [
@@ -134,8 +139,162 @@ fn config_strategy() -> impl Strategy<Value = SystemConfig> {
     )
 }
 
+/// Characters a report string must survive: JSON's escapes, control
+/// characters without a short escape, and non-ASCII.
+const TEXT_CHARS: [char; 10] = [
+    'a', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '/', 'é',
+];
+
+fn text() -> impl Strategy<Value = String> {
+    vec(0usize..TEXT_CHARS.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| TEXT_CHARS[i]).collect())
+}
+
+/// Counters, including both ends of the u64 range.
+fn count() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0), Just(u64::MAX), 0u64..1000, any::<u64>()]
+}
+
+fn maybe<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+    (any::<bool>(), inner).prop_map(|(some, v)| some.then_some(v))
+}
+
+fn pair() -> impl Strategy<Value = (u64, u64)> {
+    (count(), count())
+}
+
+fn triple() -> impl Strategy<Value = (u64, u64, u64)> {
+    (count(), count(), count())
+}
+
+fn audit_strategy() -> impl Strategy<Value = AuditReport> {
+    let finding = (0usize..AuditKind::ALL.len(), count(), text()).prop_map(|(kind, at, detail)| {
+        AuditFinding {
+            kind: AuditKind::ALL[kind],
+            at,
+            detail,
+        }
+    });
+    (count(), vec(finding, 0..4)).prop_map(|(assertions, findings)| AuditReport {
+        findings,
+        assertions,
+    })
+}
+
+fn hot_profile_strategy() -> impl Strategy<Value = HotProfile> {
+    (
+        (count(), count(), count(), count()),
+        (count(), count(), count(), count()),
+    )
+        .prop_map(
+            |(event_counts, (store_fast_hits, store_slow_hits, page_flushes, flush_scan_lines))| {
+                HotProfile {
+                    event_counts,
+                    store_fast_hits,
+                    store_slow_hits,
+                    page_flushes,
+                    flush_scan_lines,
+                }
+            },
+        )
+}
+
+/// An arbitrary report: every `Option` both ways, every abort reason,
+/// u64 extremes, awkward float ratios and hostile strings. `violations`
+/// stays empty — the canonical form omits it.
+fn report_strategy() -> impl Strategy<Value = RunReport> {
+    let labels = (
+        (text(), text(), text()),
+        0usize..AbortReason::ALL.len() + 1,
+        any::<bool>(),
+        any::<bool>(),
+        (0u64..1000, 1u64..1000),
+    );
+    let counts = (
+        (count(), count(), count(), count()),
+        (count(), count(), count(), count()),
+    );
+    let pairs = (
+        maybe(pair()),
+        (pair(), pair(), pair(), pair()),
+        maybe(pair()),
+        maybe(pair()),
+        maybe(pair()),
+    );
+    let extras = (
+        triple(),
+        maybe(triple()),
+        maybe(audit_strategy()),
+        maybe(hot_profile_strategy()),
+    );
+    (labels, counts, pairs, extras).prop_map(
+        |(
+            ((safety, workload, gpu_class), abort, aborted, accel_disabled, (num, den)),
+            (
+                (cycles, ops, events, block_accesses),
+                (violation_count, bc_checks, minor_faults, downgrades),
+            ),
+            (
+                bcc_hits_misses,
+                (pt_reads_writes, dram_reads_writes, iotlb, ats_translations_walks),
+                l1,
+                l2,
+                l1_tlb,
+            ),
+            (probes, host, audit, hot_profile),
+        )| RunReport {
+            safety,
+            workload,
+            gpu_class,
+            cycles,
+            ops,
+            block_accesses,
+            events,
+            aborted,
+            abort_reason: abort.checked_sub(1).map(|i| AbortReason::ALL[i]),
+            accel_disabled,
+            violations: Vec::new(),
+            violation_count,
+            bc_checks,
+            bcc_hits_misses,
+            pt_reads_writes,
+            dram_reads_writes,
+            dram_utilization: num as f64 / den as f64,
+            l1,
+            l2,
+            l1_tlb,
+            iotlb,
+            ats_translations_walks,
+            minor_faults,
+            downgrades,
+            probes,
+            host,
+            audit,
+            hot_profile,
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The report codec's round trip: `encode(decode(encode(r)))` is
+    /// `encode(r)` byte for byte, through the strict parser, for any
+    /// report the simulator could produce and many it never would.
+    #[test]
+    fn report_encode_decode_encode_is_identity(report in report_strategy()) {
+        let first = schema::encode_report(&report);
+        let decoded = match schema::decode_report(&first) {
+            Ok(decoded) => decoded,
+            Err(e) => return Err(TestCaseError::fail(format!(
+                "canonical report failed to decode: {e}\n{first}"
+            ))),
+        };
+        prop_assert_eq!(&schema::encode_report(&decoded), &first);
+        // And no field is lost on the way: the decoded report equals the
+        // original in every field (`violations` is empty in both).
+        prop_assert_eq!(format!("{decoded:?}"), format!("{report:?}"));
+    }
 
     /// encode → decode → encode is the identity on canonical bytes, for
     /// any reachable coordinate. This is the exact property the cache

@@ -1,7 +1,5 @@
 //! The Address Translation Service.
 
-use serde::{Deserialize, Serialize};
-
 use bc_cache::tlb::{Tlb, TlbConfig, TlbEntry};
 use bc_mem::addr::{Asid, Vpn};
 use bc_mem::dram::Dram;
@@ -11,7 +9,7 @@ use bc_sim::stats::{Counter, StatsTable};
 use bc_sim::Cycle;
 
 /// How the system routes accelerator memory traffic through the IOMMU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IommuMode {
     /// The IOMMU only serves translation requests (ATS); the accelerator
     /// caches translations in its own TLB and accesses memory directly by
@@ -23,7 +21,7 @@ pub enum IommuMode {
 }
 
 /// ATS configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtsConfig {
     /// IOTLB entries (the trusted shared L2 TLB of Table 3: 512 entries).
     pub iotlb_entries: usize,

@@ -9,8 +9,6 @@
 //! per-channel occupancy — because those two terms are what produce both
 //! the latency and the saturation effects in Figure 4.
 
-use serde::{Deserialize, Serialize};
-
 use bc_sim::resource::Channels;
 use bc_sim::stats::{Counter, StatsTable};
 use bc_sim::Cycle;
@@ -25,7 +23,7 @@ use crate::addr::PhysAddr;
 /// pool's coherence protocol. Border Control's checks sit in front of
 /// either — the profile only changes what a block costs once it is
 /// allowed through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MemBackend {
     /// Host-local DRAM (Table 3's 180 GB/s device). The default; adds
     /// nothing, so existing configurations are bit-identical.
@@ -111,7 +109,7 @@ impl core::fmt::Display for MemBackend {
 /// cycles: 180 GB/s peak bandwidth is ~257 bytes/cycle, i.e. two 128-byte
 /// blocks per cycle, modelled as 4 channels each occupying 2 cycles per
 /// block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Latency from request issue to first data, in cycles.
     pub access_latency: u64,

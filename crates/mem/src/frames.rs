@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{Ppn, PAGE_SIZE};
 
 /// Error returned when physical memory is exhausted (or too fragmented for
@@ -49,7 +47,7 @@ impl Error for OutOfFrames {}
 /// assert_eq!(fa.alloc()?, a); // LIFO reuse
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrameAllocator {
     total_frames: u64,
     cursor: u64,

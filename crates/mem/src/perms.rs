@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Read/write/execute permission bits for one page.
 ///
 /// Border Control's Protection Table stores only the read and write bits
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(rw.writable());
 /// assert_eq!(rw.to_string(), "rw-");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PagePerms {
     read: bool,
     write: bool,

@@ -61,7 +61,7 @@ impl fmt::Display for Violation {
 }
 
 /// What the kernel does when notified of a violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ViolationPolicy {
     /// Kill the process running on the accelerator (default).
     #[default]

@@ -19,8 +19,10 @@
 //! The header digest is recomputed on every load; a mismatch (bit rot,
 //! truncation, a partial write that survived a crash) is treated as a
 //! **miss** — counted separately, never served, and overwritten by the
-//! re-run's `put`. Writes go through a temp file + rename so a concurrent
-//! reader sees either the old object or the new one, never a torn write.
+//! re-run's `put`. Writes go through [`bc_sim::store::publish`] (a temp
+//! file unique to the call, synced, then renamed), so a concurrent reader
+//! sees either the old object or the new one, never a torn write, and
+//! concurrent writers of one key never collide.
 //!
 //! A store opened with [`Cas::open_bounded`] enforces a byte budget:
 //! after every `put` the oldest objects — ordered by (modification time,
@@ -158,17 +160,15 @@ impl Cas {
         Some(payload.to_string())
     }
 
-    /// Stores `payload` under `key` (temp file + rename; last writer
-    /// wins, which is safe because all writers of one key hold identical
-    /// bytes).
+    /// Stores `payload` under `key` ([`bc_sim::store::publish`]; last
+    /// writer wins, which is safe because all writers of one key hold
+    /// identical bytes).
     pub fn put(&self, key: &str, payload: &str) -> io::Result<()> {
         let object = format!(
             "{HEADER_TAG} {}\n{payload}",
             sha256::hex_digest(payload.as_bytes())
         );
-        let tmp = self.dir.join(format!(".{key}.tmp.{}", std::process::id()));
-        fs::write(&tmp, object)?;
-        fs::rename(&tmp, self.object_path(key))?;
+        bc_sim::store::publish(&self.object_path(key), object.as_bytes())?;
         self.puts.fetch_add(1, Ordering::Relaxed);
         self.enforce_bound(key);
         Ok(())

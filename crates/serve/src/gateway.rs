@@ -345,17 +345,15 @@ fn status_json(job: &Job) -> Response {
     let p = job.progress.lock().expect("job mutex poisoned");
     Response::json(
         200,
-        format!(
-            "{{\"id\": {}, \"label\": \"{}\", \"state\": \"{}\", \"cells\": {}, \
-             \"completed\": {}, \"hits\": {}, \"failures\": {}}}",
-            job.id,
-            job.label,
-            p.state.label(),
-            job.cells.len(),
-            p.completed,
-            p.hits,
-            p.failures
-        ),
+        json::object(&[
+            ("id", job.id.to_string()),
+            ("label", json::quote(&job.label)),
+            ("state", json::quote(p.state.label())),
+            ("cells", job.cells.len().to_string()),
+            ("completed", p.completed.to_string()),
+            ("hits", p.hits.to_string()),
+            ("failures", p.failures.to_string()),
+        ]),
     )
 }
 

@@ -16,6 +16,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bc_experiments::schema::json;
+
 /// Largest accepted request body — sweeps are submitted by name or as one
 /// canonical config, so anything bigger is a client bug, not a job.
 const MAX_BODY: usize = 1 << 20;
@@ -86,20 +88,8 @@ impl Response {
     /// The standard error shape: `{"error": "..."}`.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Response {
-        Response::json(status, format!("{{\"error\": \"{}\"}}", escape(message)))
+        Response::json(status, json::object(&[("error", json::quote(message))]))
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn reason(status: u16) -> &'static str {

@@ -112,6 +112,46 @@ fn corruption_on_disk_is_a_miss_not_a_serve() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two gateway jobs that share a cell run it on their own workers and
+/// file the same key at once. Every concurrent `put` must succeed and
+/// leave one whole object, with no temp file behind.
+#[test]
+fn concurrent_puts_of_one_key_all_succeed() {
+    let dir = temp_store("concurrent-put");
+    let cas = Cas::open(&dir).unwrap();
+    let key = Cas::key_for(&tiny(SafetyModel::BorderControlBcc, "bfs"));
+    let payload = "r".repeat(64 << 10);
+    // Every round releases all eight writers at once; a failure is
+    // recorded, not panicked on, so no writer leaves the others waiting
+    // at the barrier.
+    let start = std::sync::Barrier::new(8);
+    let failures = std::sync::Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(|| {
+                for _ in 0..40 {
+                    start.wait();
+                    if let Err(e) = cas.put(&key, &payload) {
+                        failures.lock().unwrap().push(e.to_string());
+                    }
+                }
+            });
+        }
+    });
+    let failures = failures.into_inner().unwrap();
+    assert!(failures.is_empty(), "failed puts: {failures:?}");
+    assert_eq!(cas.stats().puts, 320);
+    assert_eq!(cas.get(&key).as_deref(), Some(payload.as_str()));
+    assert_eq!(cas.stats().corrupt, 0);
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, [key], "temp files left behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every knob of [`SystemConfig`] must move the cache key — a knob the
 /// key ignores would alias two different simulations onto one cached
 /// result. `shards` is the one deliberate exception (reports are proven

@@ -5,7 +5,8 @@
 //! [`bc_serve::client`] — the same socket path `bc-serve` serves in
 //! production. The core property, asserted throughout: a report served by
 //! the gateway (cold or from cache) is **byte-identical** to a direct
-//! in-process `System::build(..).run().to_json()` of the same cell.
+//! in-process `schema::encode_report(&System::build(..).run())` of the
+//! same cell.
 
 // Test driver: failing fast on setup errors is correct here.
 #![allow(clippy::unwrap_used)]
@@ -82,7 +83,7 @@ fn attacks_cells() -> Vec<(String, SystemConfig)> {
 }
 
 fn direct_report(config: &SystemConfig) -> String {
-    System::build(config).unwrap().run().to_json()
+    schema::encode_report(&System::build(config).unwrap().run())
 }
 
 #[test]
@@ -225,6 +226,32 @@ fn single_cell_jobs_speak_the_canonical_schema() {
     // The served bytes decode back through the schema module.
     let report = schema::decode_report(&served).unwrap();
     assert_eq!(schema::encode_report(&report), served);
+}
+
+/// A single-cell job is labelled `cell/<workload>`, and the workload is
+/// client input: quotes, backslashes and control characters in it must
+/// come back escaped, so status and cancel responses stay valid JSON
+/// that carries the label unchanged.
+#[test]
+fn client_supplied_job_labels_are_escaped() {
+    let ts = TestServer::start("label", 1, None);
+    let addr = ts.addr();
+
+    let mut config = SystemConfig::table3_defaults();
+    config.workload = "a\"b\nc\\d\u{1}".to_string();
+    let want = format!("cell/{}", config.workload);
+    let job = submit(addr, &schema::encode_config(&config));
+    let status = client::wait_for_job(addr, job).unwrap();
+    let (_, cancelled) = client::post(addr, &format!("/v1/jobs/{job}/cancel"), "").unwrap();
+    for body in [status, cancelled] {
+        let value = schema::json::parse(&body)
+            .unwrap_or_else(|e| panic!("response is not JSON ({e}): {body}"));
+        assert_eq!(
+            value.get("label").and_then(|v| v.as_str()),
+            Some(want.as_str()),
+            "{body}"
+        );
+    }
 }
 
 #[test]

@@ -35,10 +35,8 @@
 use crate::fxmap::FxHashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The invariant class a finding violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditKind {
     /// Border Control's allow/deny decision disagreed with the shadow
     /// permission oracle.
@@ -128,7 +126,7 @@ impl fmt::Display for AuditKind {
 }
 
 /// One violated invariant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuditFinding {
     /// Invariant class.
     pub kind: AuditKind,
@@ -145,7 +143,7 @@ impl fmt::Display for AuditFinding {
 }
 
 /// Everything the auditor observed over one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditReport {
     /// Invariant violations, in observation order.
     pub findings: Vec<AuditFinding>,

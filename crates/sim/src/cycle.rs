@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, measured in cycles of the component
 /// that owns the clock domain (the GPU clock in the full-system model).
 ///
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(done.as_u64(), 125);
 /// assert_eq!(done - start, 25);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 impl Cycle {
@@ -126,7 +122,7 @@ impl From<u64> for Cycle {
 /// // 100 downgrades/second at 700 MHz is one downgrade every 7M cycles.
 /// assert_eq!(gpu.cycles_per_event(100), 7_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency {
     hertz: u64,
 }

@@ -21,6 +21,8 @@
 //!   [`EventQueue`] per logical component across worker threads, with a
 //!   `(cycle, src, seq)` total order that makes the schedule identical
 //!   at any shard count.
+//! * [`sha256`] and [`store`] — the digest and the race-free publish
+//!   that every on-disk content-addressed store shares.
 //!
 //! # Example
 //!
@@ -51,6 +53,7 @@ pub mod sha256;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
+pub mod store;
 pub mod trace;
 
 pub use cycle::{Cycle, Frequency};

@@ -9,8 +9,6 @@
 //! earlier gap instead of queueing behind a future reservation. Intervals
 //! coalesce as they fill.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats::{Counter, Histogram};
 use crate::Cycle;
 
@@ -37,7 +35,7 @@ const RETAIN_CYCLES: u64 = 16_384;
 /// p.serve(Cycle::new(1_000_000), 10);
 /// assert_eq!(p.serve(Cycle::new(30), 10).as_u64(), 40);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Port {
     /// Busy intervals `(start, end)`, sorted, disjoint, coalesced. Under
     /// load a DRAM channel keeps hundreds of live intervals (≈570 on
@@ -323,7 +321,7 @@ impl crate::snapshot::Snap for Channels {
 /// // ...but a third must queue.
 /// assert_eq!(dram.serve(Cycle::new(0), 8).as_u64(), 16);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Channels {
     ports: Vec<Port>,
 }

@@ -3,8 +3,8 @@
 //! A *snapshot* captures the mutable state of a simulated system at a
 //! mid-run cut cycle so a sweep matrix can fork many cells from one
 //! warmed checkpoint instead of re-simulating the shared warmup prefix
-//! per cell (DESIGN.md §15). The vendored `serde` stand-in can render
-//! `Debug` but cannot deserialize, so the codec here is hand-written:
+//! per cell (DESIGN.md §15). The workspace has no serialization
+//! dependency, so the codec here is hand-written:
 //! a [`SnapWriter`]/[`SnapReader`] pair over a compact byte format
 //! (LEB128 varints, zigzag for signed values, length-prefixed byte
 //! strings), plus the [`Snap`] trait that state-bearing types implement

@@ -10,8 +10,6 @@
 // ever feeds back into simulation state.
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing event counter.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// c.add(4);
 /// assert_eq!(c.get(), 5);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -79,7 +77,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(hm.accesses(), 3);
 /// assert!((hm.miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HitMiss {
     hits: u64,
     misses: u64,
@@ -188,7 +186,7 @@ impl fmt::Display for HitMiss {
 /// assert_eq!(h.max(), 100);
 /// assert!((h.mean() - 26.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -366,7 +364,7 @@ impl crate::snapshot::Snap for Histogram {
 /// assert!(s.contains("cycles"));
 /// assert!(s.contains("1234"));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatsTable {
     title: String,
     rows: Vec<(String, String)>,

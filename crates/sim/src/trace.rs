@@ -9,12 +9,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Cycle;
 
 /// Category of a traced event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// Border Control blocked a request.
     Violation,
@@ -45,7 +43,7 @@ impl fmt::Display for TraceKind {
 }
 
 /// One traced event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When it happened.
     pub at: Cycle,
@@ -83,7 +81,7 @@ impl fmt::Display for TraceEvent {
 /// off.record(Cycle::new(5), TraceKind::Other, || unreachable!("lazy"));
 /// assert!(off.events().is_empty());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tracer {
     enabled: bool,
     capacity: usize,

@@ -1,7 +1,5 @@
 //! System configuration (the paper's Table 3).
 
-use serde::{Deserialize, Serialize};
-
 use bc_accel::{Behavior, GpuConfig};
 use bc_core::{BccConfig, BorderControlConfig, FlushPolicy};
 use bc_iommu::AtsConfig;
@@ -14,7 +12,7 @@ use crate::host::HostActivityConfig;
 use crate::safety::SafetyModel;
 
 /// Which of Table 3's two GPU configurations to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuClass {
     /// 8 compute units, many execution contexts — "a proxy for a
     /// high-performance, latency-tolerant accelerator".
@@ -57,7 +55,7 @@ impl GpuClass {
 
 /// Full-system configuration. [`SystemConfig::table3_defaults`] reproduces
 /// the paper's simulated machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Safety approach under study.
     pub safety: SafetyModel,

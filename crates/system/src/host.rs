@@ -12,8 +12,6 @@
 //! region with touches of the (shared) workload footprint at a
 //! configurable rate.
 
-use serde::{Deserialize, Serialize};
-
 use bc_cache::set_assoc::{Access, Cache, CacheConfig, LookupResult, Replacement, WritePolicy};
 use bc_mem::addr::PhysAddr;
 use bc_mem::VirtAddr;
@@ -23,7 +21,7 @@ use bc_sim::SimRng;
 /// Host-CPU activity configuration. `None` in [`crate::SystemConfig`]
 /// disables the actor (the paper's kernels run with the host idle; the
 /// actor exists for the coherence studies).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostActivityConfig {
     // bc-lint: allow-file(float) — workload-mix config fractions; each is
     // consumed through SimRng::chance's single exact comparison or converted

@@ -5,8 +5,6 @@
 // display/JSON after the engine has stopped; nothing reads them back.
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use bc_os::Violation;
 use bc_sim::audit::AuditReport;
 use bc_sim::stats::StatsTable;
@@ -15,7 +13,7 @@ use bc_sim::stats::StatsTable;
 /// `aborted` flag conflated "Border Control killed the process" with
 /// "the simulation's cycle valve tripped" — very different outcomes for
 /// the attacks binary and for sweep error triage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// A violation under the `KillProcess` policy terminated the process.
     ViolationKill,
@@ -26,6 +24,13 @@ pub enum AbortReason {
 }
 
 impl AbortReason {
+    /// Every reason, in declaration order.
+    pub const ALL: [AbortReason; 3] = [
+        AbortReason::ViolationKill,
+        AbortReason::CycleLimit,
+        AbortReason::FatalOsError,
+    ];
+
     /// Short human-readable label for report tables.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -40,13 +45,7 @@ impl AbortReason {
     /// schema (`bc_experiments::schema`) to decode serialized reports.
     #[must_use]
     pub fn from_label(label: &str) -> Option<Self> {
-        [
-            AbortReason::ViolationKill,
-            AbortReason::CycleLimit,
-            AbortReason::FatalOsError,
-        ]
-        .into_iter()
-        .find(|r| r.label() == label)
+        Self::ALL.into_iter().find(|r| r.label() == label)
     }
 }
 
@@ -77,7 +76,7 @@ impl bc_sim::snapshot::Snap for AbortReason {
 /// Hot-path profile from a run, populated only when the `hotprof`
 /// feature is compiled in (the struct itself is always present so the
 /// report's shape does not depend on features).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotProfile {
     /// Scheduler dispatches by event kind:
     /// (wavefront-ready, issue-op, downgrade, cpu-tick).
@@ -93,7 +92,7 @@ pub struct HotProfile {
 }
 
 /// The result of one full-system run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Configuration labels for bookkeeping.
     pub safety: String,
@@ -118,8 +117,8 @@ pub struct RunReport {
     /// Whether the accelerator was fenced off by the
     /// `DisableAccelerator` policy (the process survives on the CPU).
     pub accel_disabled: bool,
-    /// Violations Border Control reported.
-    #[serde(skip)]
+    /// Violations Border Control reported. The canonical encoding
+    /// omits them; `violation_count` carries the count.
     pub violations: Vec<Violation>,
     /// Count of violations (survives serialization).
     pub violation_count: u64,
@@ -157,8 +156,9 @@ pub struct RunReport {
     /// [`SystemConfig::audit`]: crate::SystemConfig::audit
     pub audit: Option<AuditReport>,
     /// Hot-path profile, when built with the `hotprof` feature. `None`
-    /// otherwise; [`to_json`](Self::to_json) omits the field entirely
-    /// when absent so default-feature golden reports are unaffected.
+    /// otherwise; the canonical encoding (`bc_experiments::schema`)
+    /// omits the field entirely when absent so default-feature golden
+    /// reports are unaffected.
     pub hot_profile: Option<HotProfile>,
 }
 
@@ -193,128 +193,6 @@ impl RunReport {
             return 0.0;
         }
         self.cycles as f64 / baseline.cycles as f64 - 1.0
-    }
-
-    /// Serializes the report as deterministic, human-diffable JSON.
-    ///
-    /// The vendored `serde` stand-in renders Debug output rather than
-    /// real JSON, so the golden-report snapshots under `tests/goldens/`
-    /// use this hand-rolled serializer instead. Field order is fixed and
-    /// `violations` is omitted, mirroring its `#[serde(skip)]`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        fn pair((a, b): (u64, u64)) -> String {
-            format!("[{a}, {b}]")
-        }
-        fn opt_pair(v: Option<(u64, u64)>) -> String {
-            v.map(pair).unwrap_or_else(|| "null".to_string())
-        }
-        fn f64_json(v: f64) -> String {
-            if v.is_finite() {
-                // `{:?}` is the shortest round-trip decimal form, which is
-                // also valid JSON for finite values.
-                format!("{v:?}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let audit = match &self.audit {
-            None => "null".to_string(),
-            Some(a) => {
-                let findings: Vec<String> = a
-                    .findings
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{{\"kind\": \"{}\", \"at\": {}, \"detail\": \"{}\"}}",
-                            esc(&f.kind.to_string()),
-                            f.at,
-                            esc(&f.detail)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"assertions\": {}, \"findings\": [{}]}}",
-                    a.assertions,
-                    findings.join(", ")
-                )
-            }
-        };
-        let mut fields: Vec<(&str, String)> = vec![
-            ("safety", format!("\"{}\"", esc(&self.safety))),
-            ("workload", format!("\"{}\"", esc(&self.workload))),
-            ("gpu_class", format!("\"{}\"", esc(&self.gpu_class))),
-            ("cycles", self.cycles.to_string()),
-            ("ops", self.ops.to_string()),
-            ("events", self.events.to_string()),
-            ("block_accesses", self.block_accesses.to_string()),
-            ("aborted", self.aborted.to_string()),
-            (
-                "abort_reason",
-                self.abort_reason
-                    .map(|r| format!("\"{}\"", esc(r.label())))
-                    .unwrap_or_else(|| "null".to_string()),
-            ),
-            ("accel_disabled", self.accel_disabled.to_string()),
-            ("violation_count", self.violation_count.to_string()),
-            ("bc_checks", self.bc_checks.to_string()),
-            ("bcc_hits_misses", opt_pair(self.bcc_hits_misses)),
-            ("pt_reads_writes", pair(self.pt_reads_writes)),
-            ("dram_reads_writes", pair(self.dram_reads_writes)),
-            ("dram_utilization", f64_json(self.dram_utilization)),
-            ("l1", opt_pair(self.l1)),
-            ("l2", opt_pair(self.l2)),
-            ("l1_tlb", opt_pair(self.l1_tlb)),
-            ("iotlb", pair(self.iotlb)),
-            ("ats_translations_walks", pair(self.ats_translations_walks)),
-            ("minor_faults", self.minor_faults.to_string()),
-            ("downgrades", self.downgrades.to_string()),
-            (
-                "probes",
-                format!("[{}, {}, {}]", self.probes.0, self.probes.1, self.probes.2),
-            ),
-            (
-                "host",
-                self.host
-                    .map(|(a, b, c)| format!("[{a}, {b}, {c}]"))
-                    .unwrap_or_else(|| "null".to_string()),
-            ),
-            ("audit", audit),
-        ];
-        // Appended only when populated (hotprof builds): goldens are
-        // generated with default features and must stay byte-identical.
-        if let Some(hp) = &self.hot_profile {
-            let (wr, io, dg, ct) = hp.event_counts;
-            fields.push((
-                "hot_profile",
-                format!(
-                    "{{\"event_counts\": [{wr}, {io}, {dg}, {ct}], \
-                     \"store_fast_hits\": {}, \"store_slow_hits\": {}, \
-                     \"page_flushes\": {}, \"flush_scan_lines\": {}}}",
-                    hp.store_fast_hits, hp.store_slow_hits, hp.page_flushes, hp.flush_scan_lines
-                ),
-            ));
-        }
-        let body: Vec<String> = fields
-            .iter()
-            .map(|(k, v)| format!("  \"{k}\": {v}"))
-            .collect();
-        format!("{{\n{}\n}}\n", body.join(",\n"))
     }
 
     /// Renders the report as a stats table.
@@ -432,42 +310,6 @@ mod tests {
         let r = blank(0);
         assert_eq!(r.checks_per_cycle(), 0.0);
         assert_eq!(blank(100).overhead_vs(&r), 0.0);
-    }
-
-    #[test]
-    fn to_json_shape_and_escaping() {
-        let mut r = blank(1000);
-        r.workload = "n\"n\\x".into();
-        r.abort_reason = Some(AbortReason::CycleLimit);
-        r.audit = Some(AuditReport {
-            findings: vec![bc_sim::audit::AuditFinding {
-                kind: bc_sim::audit::AuditKind::EventInPast,
-                at: 7,
-                detail: "line1\nline2".into(),
-            }],
-            assertions: 3,
-        });
-        let j = r.to_json();
-        assert!(j.starts_with("{\n"), "{j}");
-        assert!(j.ends_with("}\n"), "{j}");
-        assert!(j.contains("\"workload\": \"n\\\"n\\\\x\""), "{j}");
-        assert!(j.contains("\"events\": 15"), "{j}");
-        assert!(
-            j.contains("\"abort_reason\": \"cycle valve tripped\""),
-            "{j}"
-        );
-        assert!(j.contains("\"bcc_hits_misses\": [90, 10]"), "{j}");
-        assert!(j.contains("\"dram_utilization\": 0.5"), "{j}");
-        assert!(j.contains("\"kind\": \"event-in-past\""), "{j}");
-        assert!(j.contains("\"detail\": \"line1\\nline2\""), "{j}");
-        // Brace balance as a cheap well-formedness proxy (no JSON parser
-        // is vendored).
-        let open = j.matches('{').count() + j.matches('[').count();
-        let close = j.matches('}').count() + j.matches(']').count();
-        assert_eq!(open, close);
-        // Nothing unescaped: stripping all escaped sequences leaves no
-        // bare control characters.
-        assert!(!j.replace("\\n", "").contains('\u{0}'));
     }
 
     #[test]

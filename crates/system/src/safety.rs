@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Memory-safety approach, following Table 2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SafetyModel {
     /// The unsafe baseline: the IOMMU serves only initial translations;
     /// the GPU keeps physical addresses in its TLB and caches and accesses

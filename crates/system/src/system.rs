@@ -569,7 +569,7 @@ impl Backend {
         let mut completion = at + 1;
         for access in &op.blocks {
             self.block_accesses += 1;
-            let done = self.block_access(at, cu, *access);
+            let done = self.block_access(at, *access);
             completion = completion.max(done);
             if self.aborted {
                 return;
@@ -588,16 +588,18 @@ impl Backend {
         self.schedule(completion, Event::WavefrontReady { cu, wf });
     }
 
-    /// One coalesced block access through the configured memory path.
-    /// Returns the wavefront-visible completion time (stores are posted
-    /// and complete at issue).
-    fn block_access(&mut self, at: Cycle, cu: usize, access: BlockAccess) -> Cycle {
+    /// One coalesced block access through a centralized model's memory
+    /// path. Returns the wavefront-visible completion time (stores are
+    /// posted and complete at issue).
+    fn block_access(&mut self, at: Cycle, access: BlockAccess) -> Cycle {
         match self.config.safety {
             SafetyModel::FullIommu => self.access_full_iommu(at, access),
             SafetyModel::CapiLike => self.access_capi(at, access),
             SafetyModel::AtsOnlyIommu
             | SafetyModel::BorderControlNoBcc
-            | SafetyModel::BorderControlBcc => self.access_direct(at, cu, access),
+            | SafetyModel::BorderControlBcc => {
+                unreachable!("direct models issue on their frontends, not the backend")
+            }
         }
     }
 
@@ -695,79 +697,6 @@ impl Backend {
                 }
             }
         }
-    }
-
-    /// Direct physical access (ATS-only and both Border Control
-    /// configurations): accelerator L1 TLB + L1 + shared L2, with Border
-    /// Control checking every request that crosses to memory.
-    fn access_direct(&mut self, at: Cycle, cu: usize, access: BlockAccess) -> Cycle {
-        let vpn = access.va.vpn();
-        // L1 TLB.
-        let (entry, mut t) = {
-            let tlb = self.gpu.cus[cu]
-                .tlb
-                .as_mut()
-                .expect("direct configurations keep an L1 TLB");
-            match tlb.lookup(self.asid, vpn) {
-                Some(e) => (e, at + 1),
-                None => {
-                    let resp = match self.ats.translate(
-                        at + 1,
-                        &mut self.kernel,
-                        &mut self.dram,
-                        self.asid,
-                        vpn,
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => return self.on_fatal_os_error(at, e),
-                    };
-                    self.gpu.cus[cu]
-                        .tlb
-                        .as_mut()
-                        .expect("still present")
-                        .insert(resp.entry);
-                    // Figure 3b: the ATS reports the translation to Border
-                    // Control, which updates the Protection Table (and
-                    // BCC). The maintenance traffic is charged near the
-                    // request's own issue time: it is posted and off the
-                    // translation's critical path.
-                    if let Some(bc) = &mut self.bc {
-                        bc.on_translation(
-                            at + 1,
-                            &resp.entry,
-                            self.kernel.store_mut(),
-                            &mut self.dram,
-                        );
-                        self.audit_translation_granted(&resp.entry);
-                    }
-                    (resp.entry, resp.done)
-                }
-            }
-        };
-
-        let pa = phys_block_from_entry(&entry, access.va);
-        let kind = if access.write {
-            Access::Write
-        } else {
-            Access::Read
-        };
-
-        // Private write-through L1.
-        let l1_result = self.gpu.cus[cu]
-            .l1
-            .as_mut()
-            .expect("direct configurations keep an L1")
-            .access(pa, kind);
-        t += self.gpu.config.l1_latency;
-        if access.write {
-            // Store: posted at L1; traffic continues below.
-            let _ = self.l2_and_memory(t, pa, true);
-            return t;
-        }
-        if l1_result.is_hit() {
-            return t;
-        }
-        self.l2_and_memory(t, pa, false)
     }
 
     /// Shared L2 plus the border crossing to memory.
@@ -1005,12 +934,8 @@ impl Backend {
         if plan.invalidate_l1s {
             // GetM: ownership moves to the CPU, so every GPU copy must
             // go — the write-through L1s can hold (clean) copies of the
-            // block the L2 has dirty. Decomposed L1s live one hop away.
-            for cu in &mut self.gpu.cus {
-                if let Some(l1) = &mut cu.l1 {
-                    l1.invalidate_block(pa);
-                }
-            }
+            // block the L2 has dirty. L1s exist only on the decomposed
+            // machine's frontends, one hop away.
             self.broadcast(Event::RecallInv { pa });
         }
         if let Some(l2) = &mut self.gpu.l2 {
@@ -2661,10 +2586,10 @@ mod tests {
             let mut c = tiny(safety);
             c.gpu_class = GpuClass::HighlyThreaded;
             c.max_ops_per_wavefront = Some(300);
-            let baseline = System::build(&c).unwrap().run().to_json();
+            let baseline = format!("{:?}", System::build(&c).unwrap().run());
             for shards in [2, 4, 8] {
                 c.shards = shards;
-                let got = System::build(&c).unwrap().run().to_json();
+                let got = format!("{:?}", System::build(&c).unwrap().run());
                 assert_eq!(baseline, got, "{safety} diverged at {shards} shards");
             }
         }

@@ -1111,9 +1111,9 @@ fn pct(sorted: &[u64], p: usize) -> u64 {
     sorted[(sorted.len() - 1) * p / 100]
 }
 
-/// Everything one multi-tenant run produced, tails first. Serialized
-/// with a hand-rolled, field-ordered JSON writer so byte equality is a
-/// meaningful determinism check.
+/// Everything one multi-tenant run produced, tails first. Its canonical
+/// JSON encoding (`bc_experiments::schema::encode_tenants_report`) keeps
+/// the field order, so byte equality is a meaningful determinism check.
 #[derive(Debug, Clone)]
 pub struct TenantsReport {
     /// Tenant count (N).
@@ -1173,65 +1173,6 @@ pub struct TenantsReport {
 }
 
 impl TenantsReport {
-    /// Deterministic JSON rendering (fixed field order, no external
-    /// serializer) — the byte-equality surface of the determinism suite.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        fn pair(p: (u64, u64, u64)) -> String {
-            format!("[{}, {}, {}]", p.0, p.1, p.2)
-        }
-        let audit = match &self.audit {
-            None => "null".to_string(),
-            Some(a) => format!(
-                "{{\"assertions\": {}, \"findings\": [{}]}}",
-                a.assertions,
-                a.findings
-                    .iter()
-                    .map(|f| format!("\"{}\"", esc(&f.to_string())))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        };
-        let fields: Vec<(&str, String)> = vec![
-            ("tenants", self.tenants.to_string()),
-            ("accels", self.accels.to_string()),
-            ("mem_backend", format!("\"{}\"", esc(&self.mem_backend))),
-            ("seed", self.seed.to_string()),
-            ("cycles", self.cycles.to_string()),
-            ("events", self.events.to_string()),
-            ("completed", self.completed.to_string()),
-            ("killed", self.killed.to_string()),
-            ("aborted", self.aborted.to_string()),
-            ("completion_p50", self.completion_p50.to_string()),
-            ("completion_p95", self.completion_p95.to_string()),
-            ("completion_p99", self.completion_p99.to_string()),
-            ("kill_p50", self.kill_p50.to_string()),
-            ("kill_p95", self.kill_p95.to_string()),
-            ("kill_p99", self.kill_p99.to_string()),
-            ("binds", self.binds.to_string()),
-            ("preempts", self.preempts.to_string()),
-            ("pt_zero_blocks", self.pt_zero_blocks.to_string()),
-            ("storms", self.storms.to_string()),
-            ("probes", pair(self.probes)),
-            ("violations", self.violations.to_string()),
-            ("checks", self.checks.to_string()),
-            ("translations", self.translations.to_string()),
-            ("walks", self.walks.to_string()),
-            ("dram_reads", self.dram_reads.to_string()),
-            ("dram_writes", self.dram_writes.to_string()),
-            ("audit", audit),
-        ];
-        let body = fields
-            .iter()
-            .map(|(k, v)| format!("  \"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!("{{\n{body}\n}}\n")
-    }
-
     /// Whether the audited run held every oracle assertion (vacuously
     /// true when auditing was off).
     #[must_use]
@@ -1271,13 +1212,13 @@ mod tests {
     fn every_honest_tenant_completes() {
         let cfg = tiny(6, 2);
         let r = MultiTenantSystem::build(&cfg).expect("build").run();
-        assert!(!r.aborted, "valve tripped: {}", r.to_json());
+        assert!(!r.aborted, "valve tripped: {r:?}");
         assert_eq!(r.completed, 6);
         assert_eq!(r.killed, 0);
         assert_eq!(r.violations, 0);
         assert!(r.completion_p99 >= r.completion_p50);
         assert!(r.completion_p50 > 0);
-        assert!(r.audit_clean(), "{}", r.to_json());
+        assert!(r.audit_clean(), "{r:?}");
     }
 
     #[test]
@@ -1285,7 +1226,7 @@ mod tests {
         let cfg = tiny(9, 2);
         let r = MultiTenantSystem::build(&cfg).expect("build").run();
         assert_eq!(r.completed, 9);
-        assert!(r.preempts > 0, "no preemptions: {}", r.to_json());
+        assert!(r.preempts > 0, "no preemptions: {r:?}");
         assert!(r.binds > 9, "every preemption needs a re-bind");
         assert!(r.pt_zero_blocks > 0, "teardowns must zero the PT");
         assert!(r.audit_clean());
@@ -1297,12 +1238,7 @@ mod tests {
         cfg.storm_period = 300;
         let r = MultiTenantSystem::build(&cfg).expect("build").run();
         assert!(r.storms > 0);
-        assert_eq!(
-            r.killed,
-            0,
-            "storm killed an honest tenant: {}",
-            r.to_json()
-        );
+        assert_eq!(r.killed, 0, "storm killed an honest tenant: {r:?}");
         assert_eq!(r.completed, 8);
         assert!(r.audit_clean());
     }
@@ -1313,11 +1249,7 @@ mod tests {
         cfg.malicious_permille = 300;
         cfg.probe_permille = 400;
         let r = MultiTenantSystem::build(&cfg).expect("build").run();
-        assert!(
-            r.killed > 0,
-            "no malicious tenant got caught: {}",
-            r.to_json()
-        );
+        assert!(r.killed > 0, "no malicious tenant got caught: {r:?}");
         assert_eq!(r.completed + r.killed, 10, "a tenant vanished");
         assert_eq!(
             r.probes.1,
@@ -1325,7 +1257,7 @@ mod tests {
             "all violations come from probes"
         );
         assert!(r.kill_p50 > 0, "kill latency must be visible");
-        assert!(r.audit_clean(), "{}", r.to_json());
+        assert!(r.audit_clean(), "{r:?}");
     }
 
     #[test]
@@ -1338,7 +1270,11 @@ mod tests {
             let mut c = cfg.clone();
             c.shards = shards;
             let r = MultiTenantSystem::build(&c).expect("build").run();
-            assert_eq!(base.to_json(), r.to_json(), "shards={shards} diverged");
+            assert_eq!(
+                format!("{base:?}"),
+                format!("{r:?}"),
+                "shards={shards} diverged"
+            );
         }
     }
 
@@ -1363,7 +1299,6 @@ mod tests {
         let cfg = tiny(4, 2);
         let a = MultiTenantSystem::build(&cfg).expect("build").run();
         let b = MultiTenantSystem::build(&cfg).expect("build").run();
-        assert_eq!(a.to_json(), b.to_json());
-        assert!(a.to_json().contains("\"completion_p99\""));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

@@ -93,14 +93,13 @@ fn multi_tenant_kill_under_load_reports_zero_findings() {
         ..TenantsConfig::default()
     };
     let r = MultiTenantSystem::build(&cfg).expect("build").run();
-    assert!(!r.aborted, "valve tripped: {}", r.to_json());
-    assert!(r.killed > 0, "no tenant was killed: {}", r.to_json());
+    assert!(!r.aborted, "valve tripped: {r:?}");
+    assert!(r.killed > 0, "no tenant was killed: {r:?}");
     assert!(r.completed > 0, "siblings must survive the kill");
     assert_eq!(
         r.completed + r.killed,
         24,
-        "every tenant ends Done or Killed: {}",
-        r.to_json()
+        "every tenant ends Done or Killed: {r:?}"
     );
     assert!(r.storms > 0, "the storm must actually have run");
     assert_eq!(

@@ -46,7 +46,7 @@
 //! sizes × seeds, and [`verify`] re-checks any single coordinate (used
 //! by CI on the compiled artifacts themselves).
 
-use std::io::{self, Read, Write as _};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -576,9 +576,9 @@ pub struct TraceDirStats {
 ///
 /// `open_stream` resolves the workload coordinate to its content key,
 /// then: serves from the in-memory parse cache, else loads the file,
-/// else compiles the generator offline and persists the result (via a
-/// temp-file rename, so concurrent sweep processes racing on one
-/// coordinate simply both win). On any I/O failure it falls back to live
+/// else compiles the generator offline and persists the result (via
+/// [`bc_sim::store::publish`], so concurrent compilers racing on one
+/// coordinate, threads or processes, simply both win). On any I/O failure it falls back to live
 /// synthesis — replay is byte-identical to the generator, so the run's
 /// outputs are unaffected; only the speedup is lost. Fallbacks are
 /// counted, never silent.
@@ -669,7 +669,7 @@ impl TraceDir {
             Ok(t) => (Arc::new(t), false),
             Err(TraceError::Io(ref e)) if e.kind() == io::ErrorKind::NotFound => {
                 let bytes = compile(workload, total_wfs, seed);
-                persist(&self.dir, &path, &bytes)?;
+                bc_sim::store::publish(&path, &bytes)?;
                 (Arc::new(Trace::parse(bytes)?), true)
             }
             Err(e) => return Err(e),
@@ -683,31 +683,6 @@ impl TraceDir {
         guard.0.entry(key).or_insert_with(|| Arc::clone(&trace));
         Ok(trace)
     }
-}
-
-/// Atomically publishes `bytes` at `path` via a unique temp file in
-/// `dir` plus rename, so concurrent processes compiling the same
-/// coordinate never observe a half-written trace.
-fn persist(dir: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    // The PID only uniquifies a temp file name; it never reaches
-    // simulation state or the published bytes.
-    let tmp = dir.join(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        content_suffix(path)
-    ));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-fn content_suffix(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "trace".to_string())
 }
 
 impl StreamSource for TraceDir {

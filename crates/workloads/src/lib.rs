@@ -287,7 +287,7 @@ pub const BASE_VA: u64 = 0x1000_0000;
 
 /// Problem scaling, so tests stay fast while experiments run at the
 /// reference size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadSize {
     /// A few thousand accesses per wavefront-set; unit/integration tests.
     Tiny,

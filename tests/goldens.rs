@@ -1,7 +1,7 @@
 //! Golden-report snapshot tests.
 //!
-//! Each tiny-size run's `RunReport` is serialized with
-//! [`RunReport::to_json`] and compared byte-for-byte against a committed
+//! Each tiny-size run's `RunReport` is serialized with the canonical
+//! [`encode_report`] and compared byte-for-byte against a committed
 //! golden under `tests/goldens/`. Any change to simulated timing — a
 //! scheduler swap, a port-model rewrite, an MSHR change — that alters even
 //! one counter fails here, which is exactly the property the calendar-queue
@@ -20,6 +20,7 @@
 
 use std::path::PathBuf;
 
+use bc_experiments::schema::{decode_report, encode_report};
 use bc_system::{GpuClass, SafetyModel, System, SystemConfig};
 use bc_workloads::WorkloadSize;
 
@@ -88,7 +89,7 @@ fn tiny_run_reports_match_goldens() {
                 .expect("tiny config builds")
                 .run();
             let name = format!("tiny_{}_{}.json", slug(safety.label()), workload);
-            check(&name, &report.to_json());
+            check(&name, &encode_report(&report));
         }
     }
 }
@@ -114,14 +115,14 @@ fn tiny_run_reports_match_goldens_through_warm_start() {
                 .expect("snapshot restores")
                 .run();
             let name = format!("tiny_{}_{}.json", slug(safety.label()), workload);
-            check(&name, &report.to_json());
+            check(&name, &encode_report(&report));
         }
     }
 }
 
-/// The goldens themselves stay well-formed JSON (brace balance and
-/// required keys) — catches hand edits that would break downstream
-/// tooling before a diff review does.
+/// The goldens themselves stay canonical: each one decodes with the
+/// schema's strict decoder and re-encodes to its own bytes — catches hand
+/// edits that would break downstream tooling before a diff review does.
 #[test]
 fn goldens_are_well_formed() {
     if std::env::var_os("BLESS").is_some() {
@@ -138,12 +139,14 @@ fn goldens_are_well_formed() {
         }
         seen += 1;
         let text = std::fs::read_to_string(&path).unwrap();
-        let open = text.matches('{').count() + text.matches('[').count();
-        let close = text.matches('}').count() + text.matches(']').count();
-        assert_eq!(open, close, "unbalanced JSON in {}", path.display());
-        for key in ["\"safety\"", "\"cycles\"", "\"events\"", "\"audit\""] {
-            assert!(text.contains(key), "{} lacks {key}", path.display());
-        }
+        let report = decode_report(&text)
+            .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
+        assert_eq!(
+            encode_report(&report),
+            text,
+            "{} is not in canonical form",
+            path.display()
+        );
     }
     assert_eq!(seen, 10, "expected 5 safety models x 2 workloads");
 }

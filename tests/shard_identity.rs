@@ -19,6 +19,7 @@
 
 use std::path::PathBuf;
 
+use bc_experiments::schema::encode_report;
 use bc_system::{GpuClass, SafetyModel, System, SystemConfig};
 use bc_workloads::WorkloadSize;
 
@@ -74,7 +75,7 @@ fn sharded_runs_match_the_serial_goldens_byte_for_byte() {
                 let report = System::build(&c).expect("tiny config builds").run();
                 assert_eq!(
                     want,
-                    report.to_json(),
+                    encode_report(&report),
                     "{}/{workload} diverged from its golden at --shards {shards}",
                     safety.label(),
                 );
@@ -112,7 +113,7 @@ fn audited_sharded_runs_are_clean_and_cycle_identical() {
             // golden bytes: auditing observes, it never moves a cycle.
             assert_eq!(
                 want,
-                report.to_json(),
+                encode_report(&report),
                 "{} --shards {shards}: auditing moved simulated time",
                 safety.label(),
             );
