@@ -9,21 +9,23 @@
 //!
 //! Every functional access used to hash a `HashMap<Ppn, Box<[u8]>>`. The
 //! store is now a dense, lazily-materialized *slab*: a frame-indexed slot
-//! table (`u32` per physical frame, sized once from the machine's frame
-//! count) pointing into a page arena of fixed 64 KiB chunks. The hot path
-//! — Protection-Table byte reads on every border check — is three array
-//! indexes and no allocation. The arena grows a chunk at a time, so no
-//! page ever moves and peak memory does not depend on where the heap
-//! places a reallocated buffer (DESIGN.md §10). Pages still materialize
-//! zero-filled on first write, and probes outside the configured frame
-//! range (tests and doc examples construct stores with no sizing at all)
-//! fall back to the original sparse map with identical semantics.
+//! table (`u32` per physical frame, a zeroed allocation sized once from
+//! the machine's frame count) pointing into a page arena of fixed 64 KiB
+//! chunks. The hot path — Protection-Table byte reads on every border
+//! check — is three array indexes and no allocation. The arena grows a
+//! chunk at a time, so no page ever moves and peak memory does not depend
+//! on where the heap places a reallocated buffer (DESIGN.md §10). Storage
+//! exists only for pages written since they were last zeroed: a page
+//! materializes zero-filled on first write, and zeroing releases it.
+//! Probes outside the configured frame range (tests and doc examples
+//! construct stores with no sizing at all) fall back to the original
+//! sparse map with identical semantics.
 
 // The page-crossing copy loops bound every slice range with
 // `take = (PAGE_SIZE - offset).min(remaining)`, so `offset + take` never
 // exceeds the 4 KiB page buffer and the buffer ranges never exceed the
 // caller slice. Slot indexes are produced by the slot table, whose
-// entries are only ever written with in-bounds arena offsets.
+// entries are only ever written with slots the arena holds.
 #![allow(clippy::indexing_slicing)]
 
 use bc_sim::fxmap::FxHashMap;
@@ -35,8 +37,9 @@ use crate::addr::{PhysAddr, Ppn, PAGE_SIZE};
 // convert to usize for Vec indexing; lossless on every supported host.
 const PAGE: usize = PAGE_SIZE as usize;
 
-/// Slot-table sentinel: page not materialized.
-const NO_SLOT: u32 = u32::MAX;
+/// Slot-table entry of a page with no storage (it reads as zero). Arena
+/// slots are numbered from 1, so a zeroed table means "nothing stored".
+const NO_SLOT: u32 = 0;
 
 /// Pages per arena chunk (64 KiB).
 const CHUNK_PAGES: usize = 16;
@@ -44,7 +47,7 @@ const CHUNK_PAGES: usize = 16;
 /// Sparse, byte-accurate physical memory contents.
 ///
 /// Pages materialize zero-filled on first write, mirroring zeroed DRAM
-/// handed out by an OS.
+/// handed out by an OS, and give their storage back when zeroed.
 ///
 /// # Example
 ///
@@ -59,14 +62,15 @@ const CHUNK_PAGES: usize = 16;
 #[derive(Debug, Clone, Default)]
 pub struct PhysMemStore {
     /// Frame-indexed slot table: `slots[ppn]` is the page's arena slot,
-    /// or [`NO_SLOT`] while the page is unmaterialized.
+    /// or [`NO_SLOT`] while the page has no storage.
     slots: Vec<u32>,
     /// Page arena in fixed-size chunks of [`CHUNK_PAGES`] pages; slot `s`
-    /// owns page `s % CHUNK_PAGES` of chunk `s / CHUNK_PAGES`.
+    /// (from 1) owns page `(s - 1) % CHUNK_PAGES` of chunk
+    /// `(s - 1) / CHUNK_PAGES`.
     arena: Vec<Box<[u8]>>,
     /// Slots the arena holds, in use or on `free_slots`.
     arena_slots: usize,
-    /// Recycled arena slots from discarded pages (zeroed on reuse).
+    /// Recycled arena slots from zeroed pages (zero-filled on reuse).
     free_slots: Vec<u32>,
     /// Materialized in-range pages (kept so `resident_pages` stays O(1)).
     dense_resident: usize,
@@ -117,8 +121,8 @@ impl PhysMemStore {
 
     /// Creates a store whose first `frames` physical pages are served by
     /// the dense frame-indexed slab (out-of-range probes still work via
-    /// the sparse fallback). The slot table is allocated eagerly (4 bytes
-    /// per frame); page contents stay lazy.
+    /// the sparse fallback). The slot table (4 bytes per frame) is a zeroed
+    /// allocation the OS maps as it is written; page contents stay lazy.
     #[must_use]
     pub fn with_frames(frames: u64) -> Self {
         PhysMemStore {
@@ -157,13 +161,13 @@ impl PhysMemStore {
         std::mem::take(&mut self.accel_writes)
     }
 
-    /// Number of pages that have been materialized.
+    /// Number of pages with storage (written since they were last zeroed).
     #[must_use]
     pub fn resident_pages(&self) -> usize {
         self.dense_resident + self.sparse.len()
     }
 
-    /// Read-only page lookup across both tiers; `None` = unmaterialized.
+    /// Read-only page lookup across both tiers; `None` = no storage.
     #[inline]
     fn page_ref(&self, ppn: Ppn) -> Option<&[u8]> {
         let idx = usize::try_from(ppn.as_u64()).unwrap_or(usize::MAX);
@@ -205,18 +209,18 @@ impl PhysMemStore {
         }
     }
 
-    /// The bytes of arena slot `slot`.
+    /// The bytes of arena slot `slot` (never [`NO_SLOT`]).
     #[inline]
     fn slot_page(&self, slot: u32) -> &[u8] {
-        let s = slot as usize;
+        let s = slot as usize - 1;
         let base = (s % CHUNK_PAGES) * PAGE;
         &self.arena[s / CHUNK_PAGES][base..base + PAGE]
     }
 
-    /// The bytes of arena slot `slot`, writable.
+    /// The bytes of arena slot `slot` (never [`NO_SLOT`]), writable.
     #[inline]
     fn slot_page_mut(&mut self, slot: u32) -> &mut [u8] {
-        let s = slot as usize;
+        let s = slot as usize - 1;
         let base = (s % CHUNK_PAGES) * PAGE;
         &mut self.arena[s / CHUNK_PAGES][base..base + PAGE]
     }
@@ -230,13 +234,12 @@ impl PhysMemStore {
                 s
             }
             None => {
-                let s = u32::try_from(self.arena_slots).expect("arena under 16 TiB");
                 if self.arena_slots.is_multiple_of(CHUNK_PAGES) {
                     self.arena
                         .push(vec![0; CHUNK_PAGES * PAGE].into_boxed_slice());
                 }
                 self.arena_slots += 1;
-                s
+                u32::try_from(self.arena_slots).expect("arena under 16 TiB")
             }
         }
     }
@@ -325,26 +328,10 @@ impl PhysMemStore {
         }
     }
 
-    /// Fills one whole page with zeros (page-grain scrubbing, e.g. when the
-    /// OS hands a recycled frame to a new process).
+    /// Makes one whole page read as zero (page-grain scrubbing: a frame
+    /// freed or handed to a new process, a Protection Table zeroed). The
+    /// page's storage is released; a page with none is left as it is.
     pub fn zero_page(&mut self, ppn: Ppn) {
-        self.page_mut(ppn).fill(0);
-    }
-
-    /// Copies one whole page (used for copy-on-write resolution and memory
-    /// compaction).
-    pub fn copy_page(&mut self, from: Ppn, to: Ppn) {
-        // A 4 KiB bounce buffer keeps the two-tier borrow simple; page
-        // copies happen on CoW faults and compaction, not per access.
-        let mut buf = [0u8; PAGE];
-        if let Some(src) = self.page_ref(from) {
-            buf.copy_from_slice(src);
-        }
-        self.page_mut(to).copy_from_slice(&buf);
-    }
-
-    /// Drops a page's contents entirely (frame freed).
-    pub fn discard_page(&mut self, ppn: Ppn) {
         let idx = usize::try_from(ppn.as_u64()).unwrap_or(usize::MAX);
         match self.slots.get_mut(idx) {
             Some(slot) if *slot != NO_SLOT => {
@@ -358,29 +345,43 @@ impl PhysMemStore {
             }
         }
     }
+
+    /// Copies one whole page (used for copy-on-write resolution and memory
+    /// compaction). Copying a page with no storage zeroes the destination.
+    pub fn copy_page(&mut self, from: Ppn, to: Ppn) {
+        let Some(src) = self.page_ref(from) else {
+            self.zero_page(to);
+            return;
+        };
+        // A 4 KiB bounce buffer keeps the two-tier borrow simple; page
+        // copies happen on CoW faults and compaction, not per access.
+        let mut buf = [0u8; PAGE];
+        buf.copy_from_slice(src);
+        self.page_mut(to).copy_from_slice(&buf);
+    }
 }
 
-/// Snapshot codec: materialized pages (dense tier ascending by frame,
-/// then sparse tier ascending by page number) with their full 4 KiB
-/// contents, plus the accelerator-write log. Arena slot numbers and the
-/// free-slot list are layout, not state — a restored store re-packs
-/// pages into fresh slots with identical read/write semantics.
+/// Snapshot codec: stored pages (dense tier ascending by frame, then
+/// sparse tier ascending by page number) with their full 4 KiB contents,
+/// plus the accelerator-write log. Arena slot numbers and the free-slot
+/// list are layout, not state — a restored store re-packs pages into
+/// fresh slots with identical read/write semantics.
 mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+    use bc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 
     use super::{PhysMemStore, NO_SLOT, PAGE};
     use crate::addr::Ppn;
 
-    impl Snap for PhysMemStore {
-        fn save(&self, w: &mut SnapWriter) {
+    impl PhysMemStore {
+        /// Serializes the store's written pages (section `PMEM`).
+        pub fn save_state(&self, w: &mut SnapWriter) {
             w.section(*b"PMEM");
             w.usize(self.slots.len());
             w.usize(self.dense_resident);
-            for (idx, &slot) in self.slots.iter().enumerate() {
-                if slot != NO_SLOT {
-                    w.u64(idx as u64);
-                    w.bytes(self.slot_page(slot));
-                }
+            let stored = self.slots.iter().enumerate().filter(|(_, &s)| s != NO_SLOT);
+            for (idx, &slot) in stored.take(self.dense_resident) {
+                w.u64(idx as u64);
+                w.bytes(self.slot_page(slot));
             }
             let mut sparse: Vec<Ppn> = self.sparse.keys().copied().collect();
             sparse.sort_unstable();
@@ -392,17 +393,26 @@ mod snap_impls {
             w.bool(self.log_accel_writes);
             w.snap(&self.accel_writes);
         }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+
+        /// Decodes a [`save_state`](Self::save_state) section for a store
+        /// of `frames` dense frames, the count its owner's frame
+        /// allocator was restored with.
+        ///
+        /// # Errors
+        ///
+        /// [`SnapError::BadValue`] when the section records any other
+        /// frame count (checked before the frame table is allocated) or a
+        /// malformed page; read errors on truncated bytes.
+        pub fn load_state(r: &mut SnapReader<'_>, frames: u64) -> Result<Self, SnapError> {
             r.section(*b"PMEM")?;
-            let frames = r.usize()?;
-            let mut store = PhysMemStore {
-                slots: vec![NO_SLOT; frames],
-                ..PhysMemStore::default()
-            };
+            if r.u64()? != frames {
+                return Err(SnapError::BadValue("store frame count"));
+            }
+            let mut store = PhysMemStore::with_frames(frames);
             let dense = r.usize()?;
             for _ in 0..dense {
                 let ppn = r.u64()?;
-                if ppn >= frames as u64 {
+                if ppn >= frames {
                     return Err(SnapError::BadValue("dense page out of range"));
                 }
                 let bytes = r.byte_slice()?;
@@ -458,11 +468,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_page_scrubs() {
-        let mut m = PhysMemStore::new();
-        m.write(PhysAddr::new(0x3000), b"key material");
-        m.zero_page(Ppn::new(3));
-        assert_eq!(m.read_vec(PhysAddr::new(0x3000), 12), vec![0u8; 12]);
+    fn zero_page_scrubs_and_releases() {
+        for mut m in [PhysMemStore::new(), PhysMemStore::with_frames(8)] {
+            m.write(PhysAddr::new(0x3000), b"key material");
+            assert_eq!(m.resident_pages(), 1);
+            m.zero_page(Ppn::new(3));
+            assert_eq!(m.read_vec(PhysAddr::new(0x3000), 12), vec![0u8; 12]);
+            assert_eq!(m.resident_pages(), 0);
+            // Zeroing a page with no storage stores nothing.
+            m.zero_page(Ppn::new(4));
+            assert_eq!(m.resident_pages(), 0);
+        }
     }
 
     #[test]
@@ -471,9 +487,14 @@ mod tests {
         m.write(PhysAddr::new(0x4000), b"cow me");
         m.copy_page(Ppn::new(4), Ppn::new(9));
         assert_eq!(m.read_vec(PhysAddr::new(0x9000), 6), b"cow me");
-        // Copying an unmaterialized page yields zeros.
+        assert_eq!(m.resident_pages(), 2);
+        // Copying a page with no storage zeroes the destination and
+        // releases its storage.
+        m.copy_page(Ppn::new(100), Ppn::new(9));
+        assert_eq!(m.read_vec(PhysAddr::new(0x9000), 6), vec![0u8; 6]);
         m.copy_page(Ppn::new(100), Ppn::new(101));
         assert_eq!(m.read_vec(Ppn::new(101).base(), 4), vec![0u8; 4]);
+        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]
@@ -516,16 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn discard_page_reads_zero_again() {
-        let mut m = PhysMemStore::new();
-        m.write(PhysAddr::new(0x5000), b"x");
-        assert_eq!(m.resident_pages(), 1);
-        m.discard_page(Ppn::new(5));
-        assert_eq!(m.resident_pages(), 0);
-        assert_eq!(m.read_vec(PhysAddr::new(0x5000), 1), vec![0]);
-    }
-
-    #[test]
     fn dense_store_matches_sparse_semantics() {
         let mut dense = PhysMemStore::with_frames(16);
         let mut sparse = PhysMemStore::new();
@@ -534,7 +545,7 @@ mod tests {
             m.write(PhysAddr::new(0x3000), b"abc");
             m.zero_page(Ppn::new(1));
             m.copy_page(Ppn::new(3), Ppn::new(5));
-            m.discard_page(Ppn::new(2));
+            m.zero_page(Ppn::new(2));
             // Out of the dense range (frame 100 >= 16): sparse fallback.
             m.write(PhysAddr::new(100 * PAGE_SIZE + 7), b"far");
         }
@@ -552,7 +563,7 @@ mod tests {
     fn slot_recycling_zeroes_reused_frames() {
         let mut m = PhysMemStore::with_frames(8);
         m.write(PhysAddr::new(0x1000), &[0xFF; 64]);
-        m.discard_page(Ppn::new(1));
+        m.zero_page(Ppn::new(1));
         // New page reuses the slot and must read zero before its write.
         m.write(PhysAddr::new(0x2004), &[9]);
         assert_eq!(
@@ -572,14 +583,14 @@ mod tests {
         for ppn in (0..pages).rev() {
             m.write(Ppn::new(ppn).base().offset(ppn), &tag(ppn));
         }
-        // Frame `f` got slot 32, the first of chunk 2, and frame `f + 1`
-        // slot 31, the last of chunk 1: a write across their border.
+        // Frame `f` got slot 33, the first of chunk 2, and frame `f + 1`
+        // slot 32, the last of chunk 1: a write across their border.
         let f = pages - 1 - 2 * CHUNK_PAGES as u64;
         let edge = Ppn::new(f).base().offset(PAGE_SIZE - 1);
         m.write(edge, &[0xA1, 0xA2]);
         // Recycled slots come back zeroed, wherever their chunk is.
-        m.discard_page(Ppn::new(2));
-        m.discard_page(Ppn::new(pages - 1));
+        m.zero_page(Ppn::new(2));
+        m.zero_page(Ppn::new(pages - 1));
         m.write(Ppn::new(pages).base(), &[0x77]);
         m.write_byte(Ppn::new(2).base().offset(9), 0x33);
 

@@ -1,6 +1,6 @@
 //! Property tests: the sparse physical store is byte-for-byte faithful.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use bc_mem::{PhysAddr, PhysMemStore};
 use proptest::prelude::*;
@@ -35,7 +35,7 @@ proptest! {
         }
     }
 
-    /// copy_page + discard_page preserve / clear exactly one page.
+    /// copy_page + zero_page preserve / clear exactly one page.
     #[test]
     fn page_ops_are_page_exact(fill in any::<u8>(), from in 1u64..30, to in 31u64..60) {
         let mut store = PhysMemStore::new();
@@ -43,17 +43,20 @@ proptest! {
         store.write(bc_mem::Ppn::new(from).base(), &data);
         store.copy_page(bc_mem::Ppn::new(from), bc_mem::Ppn::new(to));
         prop_assert_eq!(store.read_vec(bc_mem::Ppn::new(to).base(), 4096), data.clone());
-        store.discard_page(bc_mem::Ppn::new(from));
+        store.zero_page(bc_mem::Ppn::new(from));
         prop_assert_eq!(store.read_vec(bc_mem::Ppn::new(from).base(), 8), vec![0u8; 8]);
-        // The copy survives the source's discard.
+        // The copy survives the source's zeroing, which released its page.
         prop_assert_eq!(store.read_vec(bc_mem::Ppn::new(to).base(), 4096), data);
+        prop_assert_eq!(store.resident_pages(), 1);
     }
 
     /// The dense frame slab (pages below the configured frame count live
     /// in one contiguous arena; pages above fall back to the sparse map)
     /// is indistinguishable from the old pure-HashMap store. Interleaves
-    /// writes, byte ops, page copies and discards straddling the
-    /// dense/sparse boundary against a flat byte-map model.
+    /// writes, byte ops, page copies and zeroings straddling the
+    /// dense/sparse boundary against a flat byte-map model, and checks
+    /// that exactly the pages written since their last zeroing hold
+    /// storage.
     #[test]
     fn dense_slab_matches_flat_memory_model(
         ops in proptest::collection::vec(
@@ -66,6 +69,9 @@ proptest! {
         // fallback. `offset` pushes some writes across both boundaries.
         let mut store = PhysMemStore::with_frames(8);
         let mut model: HashMap<u64, u8> = HashMap::new();
+        // Pages written since they were last zeroed: the ones that must
+        // hold storage.
+        let mut written: BTreeSet<u64> = BTreeSet::new();
         for (sel, ppn, data, offset) in &ops {
             let base = ppn * 4096 + offset;
             match sel {
@@ -74,10 +80,12 @@ proptest! {
                     for (i, b) in data.iter().enumerate() {
                         model.insert(base + i as u64, *b);
                     }
+                    written.extend(base / 4096..=(base + data.len() as u64 - 1) / 4096);
                 }
                 4 => {
                     store.write_byte(PhysAddr::new(base), data[0]);
                     model.insert(base, data[0]);
+                    written.insert(base / 4096);
                 }
                 5 => {
                     let got = store.read_byte(PhysAddr::new(base));
@@ -95,14 +103,21 @@ proptest! {
                             model.insert(to * 4096 + i, b);
                         }
                     }
+                    if written.contains(ppn) {
+                        written.insert(to);
+                    } else {
+                        written.remove(&to);
+                    }
                 }
                 _ => {
-                    store.discard_page(bc_mem::Ppn::new(*ppn));
+                    store.zero_page(bc_mem::Ppn::new(*ppn));
                     for i in 0..4096u64 {
                         model.remove(&(ppn * 4096 + i));
                     }
+                    written.remove(ppn);
                 }
             }
+            prop_assert_eq!(store.resident_pages(), written.len());
         }
         for (addr, len) in probes {
             let got = store.read_vec(PhysAddr::new(addr), len);

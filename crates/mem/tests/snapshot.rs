@@ -8,7 +8,7 @@ use bc_mem::page_table::PageTable;
 use bc_mem::perms::PagePerms;
 use bc_mem::store::{PhysMemStore, WriteOrigin};
 use bc_mem::FrameAllocator;
-use bc_sim::snapshot::{Snap, SnapReader, SnapWriter};
+use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bc_sim::Cycle;
 
 fn round_trip<T: Snap>(v: &T) -> T {
@@ -30,7 +30,19 @@ fn store_round_trip_preserves_contents_and_tiers() {
     m.set_accel_write_logging(true);
     m.write_as(WriteOrigin::Accelerator, PhysAddr::new(0x2000), b"logged");
 
-    let r = round_trip(&m);
+    let mut w = SnapWriter::new();
+    m.save_state(&mut w);
+    let bytes = w.into_bytes();
+    let mut reader = SnapReader::new(&bytes);
+    let r = PhysMemStore::load_state(&mut reader, 16).expect("decodes");
+    reader.finish().expect("fully consumed");
+    // The owner's frame count must match the recorded one.
+    for frames in [15, 17, 1 << 36] {
+        assert!(matches!(
+            PhysMemStore::load_state(&mut SnapReader::new(&bytes), frames),
+            Err(SnapError::BadValue(_))
+        ));
+    }
     assert_eq!(r.resident_pages(), m.resident_pages());
     for addr in [0x1ff0, 0x2000, 0x3000, 100 * PAGE_SIZE + 5] {
         assert_eq!(

@@ -162,11 +162,11 @@ impl Kernel {
             Some(_) => {
                 self.frame_refs.remove(&ppn.as_u64());
                 self.frames.free(ppn);
-                self.store.discard_page(ppn);
+                self.store.zero_page(ppn);
             }
             None => {
                 self.frames.free(ppn);
-                self.store.discard_page(ppn);
+                self.store.zero_page(ppn);
             }
         }
     }
@@ -735,7 +735,7 @@ impl Kernel {
     /// "Deallocate protection table").
     pub fn free_protection_table(&mut self, base: Ppn, pages: u64) {
         for i in 0..pages {
-            self.store.discard_page(base.add(i));
+            self.store.zero_page(base.add(i));
         }
         self.frames.free_contiguous(base, pages);
     }
@@ -790,13 +790,16 @@ impl Kernel {
 /// Snapshot codec for the whole kernel. The process and quarantine
 /// `BTreeMap`s iterate sorted, giving deterministic bytes; the shared
 /// frame refcounts live in an `FxHashMap` (unspecified iteration order),
-/// so their keys are sorted before emission.
+/// so their keys are sorted before emission. The frame allocator must
+/// cover `phys_bytes`, and the store is decoded for its frame count.
 mod snap_impls {
     use std::collections::BTreeMap;
 
     use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
-    use super::{FxHashMap, Kernel, KernelConfig, Ppn, Process};
+    use super::{
+        FrameAllocator, FxHashMap, Kernel, KernelConfig, PhysMemStore, Ppn, Process, PAGE_SIZE,
+    };
 
     impl Snap for KernelConfig {
         fn save(&self, w: &mut SnapWriter) {
@@ -816,7 +819,7 @@ mod snap_impls {
             w.section(*b"KRNL");
             w.snap(&self.config);
             w.snap(&self.frames);
-            w.snap(&self.store);
+            self.store.save_state(w);
             w.usize(self.processes.len());
             for (&asid, proc) in &self.processes {
                 w.u16(asid);
@@ -839,8 +842,11 @@ mod snap_impls {
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
             r.section(*b"KRNL")?;
             let config: KernelConfig = r.snap()?;
-            let frames = r.snap()?;
-            let store = r.snap()?;
+            let frames: FrameAllocator = r.snap()?;
+            if frames.total_frames() != config.phys_bytes / PAGE_SIZE {
+                return Err(SnapError::BadValue("frame allocator size"));
+            }
+            let store = PhysMemStore::load_state(r, frames.total_frames())?;
             let n = r.usize()?;
             if n > r.remaining() {
                 return Err(SnapError::Truncated);

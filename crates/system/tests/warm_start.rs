@@ -10,6 +10,7 @@
 //! counter, violation record, and audit finding.
 
 use bc_accel::Behavior;
+use bc_core::ProtectionTable;
 use bc_sim::snapshot::SnapError;
 use bc_sim::Cycle;
 use bc_system::{GpuClass, RestoreError, SafetyModel, System, SystemConfig};
@@ -164,4 +165,118 @@ fn restore_rejects_truncated_bytes() {
         System::restore(&c, cut, REV, &LiveSynthesis),
         Err(RestoreError::Snapshot(_))
     ));
+}
+
+/// The snapshot codec's integer encoding (LEB128 varint).
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return out;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// `bytes` with the varint `old` that follows the first `tag` replaced
+/// by `new`.
+fn splice(bytes: &[u8], tag: &[u8; 4], old: u64, new: u64) -> Vec<u8> {
+    let mut section = tag.to_vec();
+    section.extend(varint(old));
+    let at = bytes
+        .windows(section.len())
+        .position(|w| w == section)
+        .expect("section present")
+        + tag.len();
+    let mut out = bytes[..at].to_vec();
+    out.extend(varint(new));
+    out.extend_from_slice(&bytes[at + section.len() - tag.len()..]);
+    out
+}
+
+#[test]
+fn restore_rejects_a_store_sized_unlike_its_kernel() {
+    let c = tiny(SafetyModel::BorderControlBcc);
+    let mut s = System::build(&c).expect("builds");
+    let frames = s.kernel().total_frames();
+    let bytes = s.snapshot_to(Cycle::new(1_000), REV);
+    // A store too large to allocate, too large to size a table, too
+    // small for the kernel's frame allocator; and an allocator larger
+    // than physical memory.
+    let spliced = [
+        splice(&bytes, b"PMEM", frames, 1 << 36),
+        splice(&bytes, b"PMEM", frames, 1 << 62),
+        splice(&bytes, b"PMEM", frames, 1_000),
+        splice(&bytes, b"FRAM", frames, 2 * frames),
+    ];
+    for (i, bad) in spliced.iter().enumerate() {
+        assert!(
+            matches!(
+                System::restore(&c, bad, REV, &LiveSynthesis),
+                Err(RestoreError::Snapshot(SnapError::BadValue(_)))
+            ),
+            "splice {i} restored"
+        );
+    }
+}
+
+/// Zeroed memory holds no storage, on every tiny Fig. 4 configuration
+/// (both GPU classes, the five safety models, the seven workloads, the
+/// sweep's op cap): a built machine stores no page, a run stores at
+/// most the Protection-Table pages Border Control writes, and a
+/// checkpoint carries no zero pages.
+#[test]
+fn zeroed_memory_stores_nothing_on_every_tiny_fig4_cell() {
+    for gpu_class in [GpuClass::HighlyThreaded, GpuClass::ModeratelyThreaded] {
+        for safety in [
+            SafetyModel::AtsOnlyIommu,
+            SafetyModel::FullIommu,
+            SafetyModel::CapiLike,
+            SafetyModel::BorderControlNoBcc,
+            SafetyModel::BorderControlBcc,
+        ] {
+            for workload in [
+                "backprop",
+                "bfs",
+                "hotspot",
+                "lud",
+                "nn",
+                "nw",
+                "pathfinder",
+            ] {
+                let mut c = SystemConfig::table3_defaults();
+                c.gpu_class = gpu_class;
+                c.safety = safety;
+                c.workload = workload.to_string();
+                c.size = WorkloadSize::Tiny;
+                c.max_ops_per_wavefront = Some(1_500);
+                let cell = format!("{gpu_class:?}/{safety:?}/{workload}");
+
+                let mut s = System::build(&c).expect("builds");
+                assert_eq!(s.kernel().store().resident_pages(), 0, "{cell} built");
+                s.run();
+                let table_pages = s
+                    .border_control()
+                    .and_then(|bc| bc.table())
+                    .map_or(0, |t| ProtectionTable::storage_pages(t.bounds_pages()));
+                let stored = s.kernel().store().resident_pages() as u64;
+                assert!(
+                    stored <= table_pages,
+                    "{cell}: {stored} pages stored after the run"
+                );
+
+                let bytes = System::build(&c)
+                    .expect("builds")
+                    .snapshot_to(Cycle::new(600_000), REV);
+                assert!(
+                    bytes.len() <= 256 << 10,
+                    "{cell}: {} byte checkpoint",
+                    bytes.len()
+                );
+            }
+        }
+    }
 }
