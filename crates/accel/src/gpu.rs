@@ -399,10 +399,11 @@ impl Gpu {
 /// A [`Wavefront`]'s stream is a `Box<dyn AccessStream>` and cannot be
 /// serialized; instead the snapshot records how many ops the wavefront
 /// has consumed and the restore path re-opens the stream (through the
-/// same [`bc_workloads::StreamSource`] coordinate) and fast-forwards it
-/// by calling `next_op()` exactly that many times. The `StreamSource`
-/// determinism contract makes this byte-exact: the re-opened stream
-/// yields the same op sequence the original did.
+/// same [`bc_workloads::StreamSource`] coordinate) and skips that many
+/// ops with [`AccessStream::skip`], which a compiled trace answers by
+/// seeking. The `StreamSource` determinism contract makes this
+/// byte-exact: the re-opened stream yields the same op sequence the
+/// original did.
 mod snapshot_support {
     use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
     use bc_workloads::AccessStream;
@@ -482,8 +483,8 @@ mod snapshot_support {
             w.snap(&self.in_flight);
         }
 
-        /// Restores one wavefront onto a freshly opened `stream`,
-        /// fast-forwarding it past the ops the snapshot already consumed.
+        /// Restores one wavefront onto a freshly opened `stream`, skipping
+        /// the ops the snapshot already consumed.
         pub(super) fn restore_state(
             mut stream: Box<dyn AccessStream>,
             r: &mut SnapReader<'_>,
@@ -492,10 +493,8 @@ mod snapshot_support {
             let done = r.bool()?;
             let ops_issued = r.u64()?;
             let in_flight = r.snap()?;
-            for _ in 0..ops_issued {
-                if stream.next_op().is_none() {
-                    return Err(SnapError::BadValue("stream shorter than snapshot"));
-                }
+            if !stream.skip(ops_issued) {
+                return Err(SnapError::BadValue("stream shorter than snapshot"));
             }
             // A `done` wavefront is NOT necessarily at stream exhaustion:
             // an op cap or a device fence (violation policy) marks it done

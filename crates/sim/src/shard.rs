@@ -550,10 +550,13 @@ impl<E: Send> ShardEngine<E> {
             mins: (0..spec.shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
             mailboxes: (0..spec.shards).map(|_| Mutex::new(Vec::new())).collect(),
             // Spin only when every shard can own a core; otherwise park
-            // waiters so the working shard keeps the hardware.
+            // waiters so the working shard keeps the hardware. One shard
+            // never waits, so it skips the core count (which reads cgroup
+            // files).
             barrier: SpinBarrier::new(
                 spec.shards,
-                spec.shards > std::thread::available_parallelism().map_or(1, |p| p.get()),
+                spec.shards > 1
+                    && spec.shards > std::thread::available_parallelism().map_or(1, |p| p.get()),
             ),
         };
 

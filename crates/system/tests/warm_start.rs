@@ -14,6 +14,7 @@ use bc_core::ProtectionTable;
 use bc_sim::snapshot::SnapError;
 use bc_sim::Cycle;
 use bc_system::{GpuClass, RestoreError, SafetyModel, System, SystemConfig};
+use bc_trace::{TraceDir, SEEK_EVERY};
 use bc_workloads::{LiveSynthesis, WorkloadSize};
 
 const REV: &str = "warm-start-test-rev";
@@ -68,6 +69,47 @@ fn fork_identity_at_varied_cuts() {
     for cut in [0, 1, 500, 7_777, u64::MAX / 2] {
         assert_eq!(want, forked(&c, &c, cut), "fork divergence at cut {cut}");
     }
+}
+
+/// Fork identity with every stream replayed from a compiled-trace
+/// directory, at the warm-start benchmark's cut (600 k cycles), before it
+/// and past completion, for wavefronts on the backend (full IOMMU) and on
+/// peeled frontends (Border Control). Each restore puts every wavefront
+/// back by seeking: its skips decode at most `SEEK_EVERY - 1` ops per
+/// wavefront, whatever the cut.
+#[test]
+fn fork_identity_through_a_trace_dir_restores_by_seeking() {
+    let dir = std::env::temp_dir().join(format!("bc-warm-start-traces-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let traces = TraceDir::open(&dir).expect("trace dir opens");
+    for safety in [SafetyModel::FullIommu, SafetyModel::BorderControlBcc] {
+        let mut c = tiny(safety);
+        c.workload = "backprop".to_string();
+        c.max_ops_per_wavefront = Some(1_500);
+        let gc = c.effective_gpu_config();
+        let wfs = (gc.compute_units * gc.wavefronts_per_cu) as u64;
+        let want = straight(&c);
+        for cut in [1_000, 50_000, 600_000, u64::MAX / 2] {
+            let bytes = System::build_with_source(&c, &traces)
+                .expect("builds")
+                .snapshot_to(Cycle::new(cut), REV);
+            let before = traces.stats().skip_decoded;
+            let mut restored = System::restore(&c, &bytes, REV, &traces).expect("restores");
+            let decoded = traces.stats().skip_decoded - before;
+            assert!(
+                decoded > 0 && decoded <= (SEEK_EVERY - 1) * wfs,
+                "{safety:?} cut {cut}: restore decoded {decoded} ops for {wfs} wavefronts"
+            );
+            assert_eq!(
+                want,
+                format!("{:?}", restored.run()),
+                "fork divergence under {safety:?} at cut {cut}"
+            );
+        }
+    }
+    let stats = traces.stats();
+    assert_eq!((stats.compiles, stats.fallbacks), (1, 0), "{stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

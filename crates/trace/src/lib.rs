@@ -10,44 +10,56 @@
 //! every `bc-serve` job sharing a coordinate shares one trace file on
 //! disk.
 //!
-//! # Container format (`.bctr`, version 1)
+//! # Container format (`.bctr`, version 2)
 //!
 //! All multi-byte integers are LEB128 varints (signed values zigzag)
 //! encoded with [`bc_sim::snapshot::SnapWriter`] primitives, except the
-//! fixed-width version word:
+//! fixed-width version word and seek offsets:
 //!
 //! ```text
 //! magic   b"BCWT"
-//! version u32 LE                      (= 1)
+//! version u32 LE                      (= 2)
 //! meta    workload name: str          (length-prefixed UTF-8)
 //!         footprint_bytes: varint     (distinguishes workload sizes)
 //!         seed: varint
 //!         total_wfs: varint
 //!         source: str                 ("compile" | "import")
 //! index   per wf in 0..total_wfs:
-//!         op_count: varint, payload_len: varint
+//!         op_count: varint, seek_count: varint, ops_len: varint
 //! payload per wf, concatenated:
-//!         per op: think: varint
+//!         seek    seek_count × u32 LE: byte offset of op 32·k within
+//!                 the wf's ops, for k in 1..=seek_count
+//!                 (seek_count = ⌈op_count / 32⌉ − 1)
+//!         ops     ops_len bytes; per op: think: varint
 //!                 header: varint      (write_mask << 4 | n_blocks)
 //!                 per block: zigzag varint byte delta from previous
-//!                            block address (initially BASE_VA)
+//!                            block address (BASE_VA at ops 0, 32, 64, …)
 //! ```
 //!
-//! The per-wavefront index makes opening one wavefront's stream O(1), so
-//! the replay adapter ([`TraceStream`]) costs a cursor and a previous-
-//! address register — no materialized op vectors.
+//! The per-wavefront index makes opening one wavefront's stream O(1).
+//! The seek index makes [`AccessStream::skip`] O(1) too: the address-delta
+//! chain restarts at every seek point, so an entry needs no decoder state
+//! beyond its offset, and [`TraceStream`] jumps to the last seek point at
+//! or below its target and decodes at most [`SEEK_EVERY`] − 1 ops. Both
+//! indexes are read in place from the container bytes, so a stream costs
+//! a cursor and a previous-address register — no materialized op or
+//! offset vectors. [`Trace::parse`] checks the seek index's shape (entry
+//! count, increasing offsets inside the payload) and [`verify`] checks
+//! every entry against the offset decoding reaches.
 //!
 //! # Identity contract
 //!
 //! [`TraceStream`] must be **op-for-op identical** to the live generator
 //! it was compiled from: same `think`, same block addresses in the same
-//! order, same write flags, same stream length. A model-based proptest
-//! (`tests/replay.rs`) pins this across all seven suite generators ×
+//! order, same write flags, same stream length, and a `skip(n)` lands
+//! where `n` calls of `next_op` would. Model-based proptests
+//! (`tests/replay.rs`) pin this across all seven suite generators ×
 //! sizes × seeds, and [`verify`] re-checks any single coordinate (used
 //! by CI on the compiled artifacts themselves).
 
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bc_mem::VirtAddr;
@@ -61,10 +73,25 @@ pub const MAGIC: [u8; 4] = *b"BCWT";
 
 /// Container format version. Bump on any layout change; the content
 /// address includes it, so old files are simply never looked up again.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File extension compiled traces use inside a [`TraceDir`].
 pub const EXTENSION: &str = "bctr";
+
+/// Ops between seek points. Op `k · SEEK_EVERY` of a wavefront starts a
+/// new address-delta chain, and for `k ≥ 1` its byte offset is entry
+/// `k − 1` of the wavefront's seek index.
+pub const SEEK_EVERY: u64 = 32;
+
+/// Seek-index entries a wavefront of `ops` ops has: one per multiple of
+/// [`SEEK_EVERY`] above 0 and below `ops`.
+fn seek_points(ops: u64) -> u64 {
+    if ops == 0 {
+        0
+    } else {
+        (ops - 1) / SEEK_EVERY
+    }
+}
 
 /// Why a trace container could not be decoded or verified.
 #[derive(Debug)]
@@ -160,20 +187,13 @@ pub fn content_key(workload: &str, footprint_bytes: u64, total_wfs: u32, seed: u
 
 /// Compiles `workload` offline: runs every wavefront's generator stream
 /// to exhaustion and encodes the ops into a container.
+///
+/// # Panics
+///
+/// Panics if one wavefront's ops encode to 4 GiB or more, past what a
+/// seek offset can address.
 #[must_use]
 pub fn compile(workload: &dyn Workload, total_wfs: u32, seed: u64) -> Vec<u8> {
-    let mut payloads: Vec<(u64, Vec<u8>)> = Vec::with_capacity(total_wfs as usize);
-    for wf in 0..total_wfs {
-        let mut stream = workload.make_stream(wf, total_wfs, seed);
-        let mut ops = 0u64;
-        let mut prev_va = BASE_VA;
-        let mut w = SnapWriter::new();
-        while let Some(op) = stream.next_op() {
-            encode_op(&mut w, &op, &mut prev_va);
-            ops += 1;
-        }
-        payloads.push((ops, w.into_bytes()));
-    }
     let meta = TraceMeta {
         workload: workload.name().to_string(),
         footprint_bytes: workload.footprint_bytes(),
@@ -181,7 +201,49 @@ pub fn compile(workload: &dyn Workload, total_wfs: u32, seed: u64) -> Vec<u8> {
         total_wfs,
         source: "compile".to_string(),
     };
-    assemble(&meta, &payloads)
+    assemble(&meta, encode_streams(workload, total_wfs, seed))
+}
+
+fn encode_streams(workload: &dyn Workload, total_wfs: u32, seed: u64) -> Vec<WfPayload> {
+    (0..total_wfs)
+        .map(|wf| {
+            let mut stream = workload.make_stream(wf, total_wfs, seed);
+            let mut payload = WfPayload::default();
+            while let Some(op) = stream.next_op() {
+                payload
+                    .push(&op)
+                    .expect("a generated wavefront encodes to under 4 GiB");
+            }
+            payload
+        })
+        .collect()
+}
+
+/// One wavefront's ops under encoding, with their seek index.
+#[derive(Debug, Default)]
+struct WfPayload {
+    ops: u64,
+    seek: Vec<u32>,
+    w: SnapWriter,
+    prev_va: u64,
+}
+
+impl WfPayload {
+    /// Appends `op`; at a seek point, records its offset and restarts
+    /// the address-delta chain.
+    fn push(&mut self, op: &WarpOp) -> Result<(), TraceError> {
+        if self.ops.is_multiple_of(SEEK_EVERY) {
+            if self.ops > 0 {
+                let at = u32::try_from(self.w.len())
+                    .map_err(|_| TraceError::Malformed("wavefront ops past 4 GiB"))?;
+                self.seek.push(at);
+            }
+            self.prev_va = BASE_VA;
+        }
+        encode_op(&mut self.w, op, &mut self.prev_va);
+        self.ops += 1;
+        Ok(())
+    }
 }
 
 fn encode_op(w: &mut SnapWriter, op: &WarpOp, prev_va: &mut u64) {
@@ -204,7 +266,7 @@ fn encode_op(w: &mut SnapWriter, op: &WarpOp, prev_va: &mut u64) {
     }
 }
 
-fn assemble(meta: &TraceMeta, payloads: &[(u64, Vec<u8>)]) -> Vec<u8> {
+fn assemble(meta: &TraceMeta, payloads: Vec<WfPayload>) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.section(MAGIC);
     // Fixed-width version word so `info` on a future container can still
@@ -217,15 +279,49 @@ fn assemble(meta: &TraceMeta, payloads: &[(u64, Vec<u8>)]) -> Vec<u8> {
     w.u64(meta.seed);
     w.u32(meta.total_wfs);
     w.str(&meta.source);
-    for (ops, payload) in payloads {
-        w.u64(*ops);
-        w.usize(payload.len());
+    for p in &payloads {
+        w.u64(p.ops);
+        w.usize(p.seek.len());
+        w.usize(p.w.len());
     }
     let mut bytes = w.into_bytes();
-    for (_, payload) in payloads {
-        bytes.extend_from_slice(payload);
+    for p in payloads {
+        for at in p.seek {
+            bytes.extend_from_slice(&at.to_le_bytes());
+        }
+        bytes.extend_from_slice(&p.w.into_bytes());
     }
     bytes
+}
+
+/// The container bytes every stream of a [`Trace`] decodes from, and the
+/// count of ops their skips decoded.
+#[derive(Debug)]
+struct Shared {
+    bytes: Vec<u8>,
+    skip_decoded: AtomicU64,
+}
+
+/// Where one wavefront lies in the container bytes.
+#[derive(Debug, Clone, Copy)]
+struct WfSpan {
+    /// Start of the seek index.
+    seek: usize,
+    /// Start of the ops (the seek index's end).
+    ops_start: usize,
+    /// End of the ops.
+    end: usize,
+    /// Ops in the wavefront.
+    ops: u64,
+}
+
+impl WfSpan {
+    /// Offset from `ops_start` of op `point`, a seek point in `1..ops`.
+    fn seek_offset(&self, bytes: &[u8], point: u64) -> usize {
+        debug_assert!(point.is_multiple_of(SEEK_EVERY) && point > 0 && point < self.ops);
+        let at = self.seek + 4 * (point / SEEK_EVERY - 1) as usize;
+        u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize
+    }
 }
 
 /// A parsed, shareable trace container. Cheap to clone behind an `Arc`;
@@ -233,10 +329,9 @@ fn assemble(meta: &TraceMeta, payloads: &[(u64, Vec<u8>)]) -> Vec<u8> {
 /// shares the coordinate.
 #[derive(Debug)]
 pub struct Trace {
-    bytes: Arc<Vec<u8>>,
+    shared: Arc<Shared>,
     meta: TraceMeta,
-    /// Per-wavefront `(payload_start, payload_end, op_count)`.
-    wf_index: Vec<(usize, usize, u64)>,
+    wfs: Vec<WfSpan>,
 }
 
 impl Trace {
@@ -245,7 +340,10 @@ impl Trace {
     /// # Errors
     ///
     /// [`TraceError::BadMagic`], [`TraceError::BadVersion`] or
-    /// [`TraceError::Malformed`] on anything but a well-formed v1 file.
+    /// [`TraceError::Malformed`] on anything but a well-formed v2 file.
+    /// A seek index must have one entry per seek point, and its offsets
+    /// must increase and stay inside the wavefront's ops, so no skip can
+    /// leave its wavefront.
     pub fn parse(bytes: Vec<u8>) -> Result<Self, TraceError> {
         let mut r = SnapReader::new(&bytes);
         if r.section(MAGIC).is_err() {
@@ -263,29 +361,57 @@ impl Trace {
             total_wfs: r.u32()?,
             source: r.string()?,
         };
-        let mut lens = Vec::with_capacity(meta.total_wfs as usize);
+        // Each index entry takes at least three bytes: bounding the
+        // capacity by the bytes left keeps a corrupt count from asking for
+        // a huge allocation.
+        let mut heads = Vec::with_capacity((meta.total_wfs as usize).min(r.remaining()));
         for _ in 0..meta.total_wfs {
-            lens.push((r.u64()?, r.usize()?));
+            heads.push((r.u64()?, r.u64()?, r.usize()?));
         }
         let mut at = bytes.len() - r.remaining();
-        let mut wf_index = Vec::with_capacity(lens.len());
-        for (ops, len) in lens {
-            let end = at
-                .checked_add(len)
-                .ok_or(TraceError::Malformed("index overflow"))?;
-            if end > bytes.len() {
-                return Err(TraceError::Malformed("payload index past end of file"));
+        let mut wfs = Vec::with_capacity(heads.len());
+        for (ops, seek_count, ops_len) in heads {
+            if seek_count != seek_points(ops) {
+                return Err(TraceError::Malformed("seek index entry count"));
             }
-            wf_index.push((at, end, ops));
+            let span = usize::try_from(seek_count)
+                .ok()
+                .and_then(|n| n.checked_mul(4))
+                .and_then(|n| at.checked_add(n))
+                .and_then(|ops_start| Some((ops_start, ops_start.checked_add(ops_len)?)));
+            let Some((ops_start, end)) = span.filter(|&(_, end)| end <= bytes.len()) else {
+                return Err(TraceError::Malformed("payload index past end of file"));
+            };
+            let span = WfSpan {
+                seek: at,
+                ops_start,
+                end,
+                ops,
+            };
+            let mut prev = 0;
+            for k in 1..=seek_count {
+                let offset = span.seek_offset(&bytes, k * SEEK_EVERY);
+                if offset <= prev {
+                    return Err(TraceError::Malformed("seek offsets must increase"));
+                }
+                if offset >= ops_len {
+                    return Err(TraceError::Malformed("seek offset past its payload"));
+                }
+                prev = offset;
+            }
+            wfs.push(span);
             at = end;
         }
         if at != bytes.len() {
             return Err(TraceError::Malformed("trailing bytes after last payload"));
         }
         Ok(Trace {
-            bytes: Arc::new(bytes),
+            shared: Arc::new(Shared {
+                bytes,
+                skip_decoded: AtomicU64::new(0),
+            }),
             meta,
-            wf_index,
+            wfs,
         })
     }
 
@@ -309,13 +435,19 @@ impl Trace {
     /// Encoded size in bytes.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.bytes.len()
+        self.shared.bytes.len()
     }
 
     /// Total ops across all wavefronts.
     #[must_use]
     pub fn total_ops(&self) -> u64 {
-        self.wf_index.iter().map(|&(_, _, n)| n).sum()
+        self.wfs.iter().map(|s| s.ops).sum()
+    }
+
+    /// Ops that [`AccessStream::skip`] on this trace's streams has decoded
+    /// so far: at most [`SEEK_EVERY`] − 1 per skip.
+    fn skip_decoded(&self) -> u64 {
+        self.shared.skip_decoded.load(Ordering::Relaxed)
     }
 
     /// Opens the replay stream for wavefront `wf`.
@@ -326,12 +458,12 @@ impl Trace {
     /// wavefronts the coordinate (which includes `total_wfs`) declares.
     #[must_use]
     pub fn stream(&self, wf: u32) -> TraceStream {
-        let (start, end, ops) = self.wf_index[wf as usize];
+        let span = self.wfs[wf as usize];
         TraceStream {
-            bytes: Arc::clone(&self.bytes),
-            pos: start,
-            end,
-            remaining_ops: ops,
+            shared: Arc::clone(&self.shared),
+            span,
+            pos: span.ops_start,
+            next: 0,
             prev_va: BASE_VA,
         }
     }
@@ -342,10 +474,12 @@ impl Trace {
 /// generator (see crate docs).
 #[derive(Debug)]
 pub struct TraceStream {
-    bytes: Arc<Vec<u8>>,
+    shared: Arc<Shared>,
+    span: WfSpan,
+    /// Byte position of op `next`.
     pos: usize,
-    end: usize,
-    remaining_ops: u64,
+    /// Ops decoded or skipped so far.
+    next: u64,
     prev_va: u64,
 }
 
@@ -354,8 +488,8 @@ impl TraceStream {
         let mut out: u64 = 0;
         let mut shift = 0u32;
         loop {
-            debug_assert!(self.pos < self.end, "trace payload truncated");
-            let byte = self.bytes[self.pos];
+            debug_assert!(self.pos < self.span.end, "trace payload truncated");
+            let byte = self.shared.bytes[self.pos];
             self.pos += 1;
             out |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
@@ -369,14 +503,22 @@ impl TraceStream {
         let z = self.var_u64();
         ((z >> 1) as i64) ^ -((z & 1) as i64)
     }
+
+    /// Offset of the cursor from the start of the wavefront's ops.
+    fn ops_offset(&self) -> usize {
+        self.pos - self.span.ops_start
+    }
 }
 
 impl AccessStream for TraceStream {
     fn next_op(&mut self) -> Option<WarpOp> {
-        if self.remaining_ops == 0 {
+        if self.next == self.span.ops {
             return None;
         }
-        self.remaining_ops -= 1;
+        if self.next.is_multiple_of(SEEK_EVERY) {
+            self.prev_va = BASE_VA;
+        }
+        self.next += 1;
         let think = self.var_u64();
         let header = self.var_u64();
         let n_blocks = (header & 0xf) as usize;
@@ -395,23 +537,64 @@ impl AccessStream for TraceStream {
         }
         Some(WarpOp { think, blocks })
     }
+
+    fn skip(&mut self, n: u64) -> bool {
+        let target = match self.next.checked_add(n) {
+            Some(target) if target < self.span.ops => target,
+            reached => {
+                self.next = self.span.ops;
+                self.pos = self.span.end;
+                return reached == Some(self.span.ops);
+            }
+        };
+        let point = target - target % SEEK_EVERY;
+        if point > self.next {
+            self.pos = self.span.ops_start + self.span.seek_offset(&self.shared.bytes, point);
+            self.next = point;
+        }
+        let decoded = target - self.next;
+        for _ in 0..decoded {
+            self.next_op();
+        }
+        if decoded > 0 {
+            self.shared
+                .skip_decoded
+                .fetch_add(decoded, Ordering::Relaxed);
+        }
+        true
+    }
 }
 
 /// Re-runs the live generator for `trace`'s coordinate and checks the
-/// container replays op-for-op identically. Returns the total op count
-/// on success.
+/// container replays op-for-op identically, that every seek-index entry
+/// is the offset decoding reaches at its seek point, and that each
+/// wavefront's ops end where its payload does. Returns the total op
+/// count on success.
 ///
 /// # Errors
 ///
-/// [`TraceError::Diverged`] on the first mismatching op, or
-/// [`TraceError::Malformed`] if the coordinate's workload is unknown.
+/// [`TraceError::Diverged`] on the first mismatching op or seek point,
+/// or [`TraceError::Malformed`] on bytes past a wavefront's last op.
 pub fn verify(trace: &Trace, workload: &dyn Workload) -> Result<u64, TraceError> {
     let mut total = 0u64;
     for wf in 0..trace.meta.total_wfs {
         let mut live = workload.make_stream(wf, trace.meta.total_wfs, trace.meta.seed);
         let mut replay = trace.stream(wf);
-        let mut op_idx = 0u64;
         loop {
+            let op = replay.next;
+            if op.is_multiple_of(SEEK_EVERY) && op > 0 && op < replay.span.ops {
+                let indexed = replay.span.seek_offset(&trace.shared.bytes, op);
+                if indexed != replay.ops_offset() {
+                    return Err(TraceError::Diverged {
+                        wf,
+                        op,
+                        detail: format!(
+                            "seek index puts the op at byte {indexed}, decoding reaches byte {}",
+                            replay.ops_offset()
+                        ),
+                    });
+                }
+            }
             let expect = live.next_op();
             let got = replay.next_op();
             match (expect, got) {
@@ -420,12 +603,14 @@ pub fn verify(trace: &Trace, workload: &dyn Workload) -> Result<u64, TraceError>
                 (a, b) => {
                     return Err(TraceError::Diverged {
                         wf,
-                        op: op_idx,
+                        op,
                         detail: format!("live {a:?} vs replay {b:?}"),
                     })
                 }
             }
-            op_idx += 1;
+        }
+        if replay.pos != replay.span.end {
+            return Err(TraceError::Malformed("bytes after a wavefront's last op"));
         }
     }
     Ok(total)
@@ -455,7 +640,7 @@ pub fn import(text: &str) -> Result<Vec<u8>, TraceError> {
     let mut footprint: Option<u64> = None;
     let mut seed = 0u64;
     let mut total_wfs: Option<u32> = None;
-    let mut per_wf: Vec<(u64, SnapWriter, u64)> = Vec::new(); // (ops, payload, prev_va)
+    let mut per_wf: Vec<WfPayload> = Vec::new();
 
     for line in text.lines() {
         let line = line.split('#').next().unwrap_or("").trim();
@@ -495,7 +680,7 @@ pub fn import(text: &str) -> Result<Vec<u8>, TraceError> {
                 )?;
                 let n = u32::try_from(n).map_err(|_| TraceError::Malformed("wavefront count"))?;
                 total_wfs = Some(n);
-                per_wf = (0..n).map(|_| (0, SnapWriter::new(), BASE_VA)).collect();
+                per_wf = (0..n).map(|_| WfPayload::default()).collect();
             }
             wf_str => {
                 let wf = parse_u64(wf_str)? as usize;
@@ -527,10 +712,7 @@ pub fn import(text: &str) -> Result<Vec<u8>, TraceError> {
                         write,
                     });
                 }
-                let op = WarpOp { think, blocks };
-                let (ops, w, prev_va) = state;
-                encode_op(w, &op, prev_va);
-                *ops += 1;
+                state.push(&WarpOp { think, blocks })?;
             }
         }
     }
@@ -542,11 +724,7 @@ pub fn import(text: &str) -> Result<Vec<u8>, TraceError> {
         total_wfs: total_wfs.ok_or(TraceError::Malformed("missing `wavefronts` directive"))?,
         source: "import".to_string(),
     };
-    let payloads: Vec<(u64, Vec<u8>)> = per_wf
-        .into_iter()
-        .map(|(ops, w, _)| (ops, w.into_bytes()))
-        .collect();
-    Ok(assemble(&meta, &payloads))
+    Ok(assemble(&meta, per_wf))
 }
 
 fn parse_u64(s: &str) -> Result<u64, TraceError> {
@@ -569,14 +747,22 @@ pub struct TraceDirStats {
     pub compiles: u64,
     /// I/O failures that fell back to live synthesis.
     pub fallbacks: u64,
+    /// Ops decoded by [`AccessStream::skip`] on the streams served: at
+    /// most [`SEEK_EVERY`] − 1 per skip, whatever its length.
+    pub skip_decoded: u64,
 }
+
+/// A workload coordinate, `(workload, footprint_bytes, total_wfs, seed)`:
+/// everything that determines a compiled trace.
+type Coord = (&'static str, u64, u32, u64);
 
 /// A content-addressed directory of compiled traces, usable directly as
 /// the system's [`StreamSource`].
 ///
-/// `open_stream` resolves the workload coordinate to its content key,
-/// then: serves from the in-memory parse cache, else loads the file,
-/// else compiles the generator offline and persists the result (via
+/// `open_stream` serves the workload coordinate from the in-memory parse
+/// cache, which is keyed by the coordinate itself, so a hit hashes no
+/// content key. On a miss it loads the file its content key names, else
+/// compiles the generator offline and persists the result (via
 /// [`bc_sim::store::publish`], so concurrent compilers racing on one
 /// coordinate, threads or processes, simply both win). On any I/O failure it falls back to live
 /// synthesis — replay is byte-identical to the generator, so the run's
@@ -585,7 +771,7 @@ pub struct TraceDirStats {
 #[derive(Debug)]
 pub struct TraceDir {
     dir: PathBuf,
-    cache: Mutex<(FxHashMap<String, Arc<Trace>>, TraceDirStatsInner)>,
+    cache: Mutex<(FxHashMap<Coord, Arc<Trace>>, TraceDirStatsInner)>,
 }
 
 #[derive(Debug, Default)]
@@ -640,6 +826,7 @@ impl TraceDir {
             disk_loads: guard.1.disk_loads.get(),
             compiles: guard.1.compiles.get(),
             fallbacks: guard.1.fallbacks.get(),
+            skip_decoded: guard.0.values().map(|t| t.skip_decoded()).sum(),
         }
     }
 
@@ -656,15 +843,15 @@ impl TraceDir {
         total_wfs: u32,
         seed: u64,
     ) -> Result<Arc<Trace>, TraceError> {
-        let key = content_key(workload.name(), workload.footprint_bytes(), total_wfs, seed);
+        let coord = (workload.name(), workload.footprint_bytes(), total_wfs, seed);
         {
             let mut guard = self.cache.lock().expect("trace cache lock");
-            if let Some(t) = guard.0.get(&key).map(Arc::clone) {
+            if let Some(t) = guard.0.get(&coord).map(Arc::clone) {
                 guard.1.hits.inc();
                 return Ok(t);
             }
         }
-        let path = self.dir.join(&key).with_extension(EXTENSION);
+        let path = self.file_for(coord.0, coord.1, coord.2, coord.3);
         let (trace, was_compile) = match Trace::open(&path) {
             Ok(t) => (Arc::new(t), false),
             Err(TraceError::Io(ref e)) if e.kind() == io::ErrorKind::NotFound => {
@@ -680,8 +867,9 @@ impl TraceDir {
         } else {
             guard.1.disk_loads.inc();
         }
-        guard.0.entry(key).or_insert_with(|| Arc::clone(&trace));
-        Ok(trace)
+        // A racing thread may have cached the coordinate first; serve its
+        // trace so every stream counts its skips in one place.
+        Ok(Arc::clone(guard.0.entry(coord).or_insert(trace)))
     }
 }
 
@@ -754,6 +942,33 @@ mod tests {
         // (A parse failure is an equally acceptable detection.)
     }
 
+    /// `nw`'s two-wavefront container with its seek indexes edited by
+    /// `tamper` before assembly.
+    fn tampered(tamper: impl FnOnce(&mut [WfPayload])) -> Vec<u8> {
+        let w = by_name("nw", WorkloadSize::Tiny).expect("suite workload");
+        let mut payloads = encode_streams(w.as_ref(), 2, 1);
+        assert!(
+            payloads.iter().all(|p| p.seek.len() >= 2),
+            "several seek points"
+        );
+        tamper(&mut payloads);
+        let meta = TraceMeta {
+            workload: "nw".to_string(),
+            footprint_bytes: w.footprint_bytes(),
+            seed: 1,
+            total_wfs: 2,
+            source: "compile".to_string(),
+        };
+        assemble(&meta, payloads)
+    }
+
+    fn malformed(bytes: Vec<u8>) -> Option<&'static str> {
+        match Trace::parse(bytes) {
+            Err(TraceError::Malformed(what)) => Some(what),
+            _ => None,
+        }
+    }
+
     #[test]
     fn parse_rejects_foreign_and_truncated() {
         assert!(matches!(
@@ -762,13 +977,87 @@ mod tests {
         ));
         let w = by_name("nw", WorkloadSize::Tiny).expect("suite workload");
         let bytes = compile(w.as_ref(), 2, 1);
+        assert_eq!(bytes, tampered(|_| ()));
         let mut bad_ver = bytes.clone();
         bad_ver[4] = 0x7f;
         assert!(matches!(
             Trace::parse(bad_ver),
             Err(TraceError::BadVersion { found: 0x7f })
         ));
+        // A v1 container (no seek index) is refused, not misread.
+        let mut v1 = bytes.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Trace::parse(v1),
+            Err(TraceError::BadVersion { found: 1 })
+        ));
         assert!(Trace::parse(bytes[..bytes.len() - 1].to_vec()).is_err());
+
+        assert_eq!(
+            malformed(tampered(|p| {
+                p[1].seek.pop();
+            })),
+            Some("seek index entry count")
+        );
+        assert_eq!(
+            malformed(tampered(|p| {
+                let at = p[0].seek[0];
+                p[0].seek.push(at);
+            })),
+            Some("seek index entry count")
+        );
+        assert_eq!(
+            malformed(tampered(|p| p[0].seek.swap(0, 1))),
+            Some("seek offsets must increase")
+        );
+        assert_eq!(
+            malformed(tampered(|p| p[1].seek[0] = 0)),
+            Some("seek offsets must increase")
+        );
+        assert_eq!(
+            malformed(tampered(|p| {
+                let end = u32::try_from(p[0].w.len()).expect("small payload");
+                *p[0].seek.last_mut().expect("seek points") = end;
+            })),
+            Some("seek offset past its payload")
+        );
+    }
+
+    #[test]
+    fn verify_checks_every_seek_point_against_decoding() {
+        let w = by_name("nw", WorkloadSize::Tiny).expect("suite workload");
+        // Still increasing and inside the payload, so it parses; one byte
+        // off the op it names.
+        let bytes = tampered(|p| p[1].seek[1] += 1);
+        let trace = Trace::parse(bytes).expect("shape is valid");
+        assert!(matches!(
+            verify(&trace, w.as_ref()),
+            Err(TraceError::Diverged { wf: 1, op: 64, .. })
+        ));
+    }
+
+    #[test]
+    fn skip_decodes_at_most_one_seek_interval() {
+        let w = by_name("bfs", WorkloadSize::Tiny).expect("suite workload");
+        let trace = Trace::parse(compile(w.as_ref(), 4, 3)).expect("well-formed");
+        let len = trace.wfs[0].ops;
+        assert!(len > 3 * SEEK_EVERY, "a few seek points");
+        for n in [0, 1, 31, 32, 33, 95, len - 1, len] {
+            let before = trace.skip_decoded();
+            let mut s = trace.stream(0);
+            assert!(s.skip(n));
+            let want = if n < len { n % SEEK_EVERY } else { 0 };
+            assert_eq!(trace.skip_decoded() - before, want, "skip({n})");
+        }
+        // From mid-interval, a skip that stays inside it decodes from the
+        // cursor rather than seeking back.
+        let mut s = trace.stream(0);
+        assert!(s.skip(40));
+        let before = trace.skip_decoded();
+        assert!(s.skip(5));
+        assert_eq!(trace.skip_decoded() - before, 5);
+        assert!(!s.skip(len));
+        assert!(s.next_op().is_none());
     }
 
     #[test]

@@ -696,6 +696,9 @@ pub mod pathfinder {
 
     impl AccessStream for Stream {
         fn next_op(&mut self) -> Option<WarpOp> {
+            if self.row >= self.w.rows {
+                return None;
+            }
             if self.col >= self.c_end {
                 self.row += 1;
                 self.col = self.c_start;

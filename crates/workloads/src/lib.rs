@@ -172,7 +172,16 @@ pub struct WarpOp {
 /// worker thread of the sharded engine.
 pub trait AccessStream: Send {
     /// Produces the next op, or `None` when the wavefront's work is done.
+    /// Once it returns `None` it returns `None` for good.
     fn next_op(&mut self) -> Option<WarpOp>;
+
+    /// Moves past the next `n` ops without returning them, exactly as `n`
+    /// calls of [`next_op`](Self::next_op) would. Returns `false` if the
+    /// stream ran out first; it is then exhausted. A stream that can seek
+    /// overrides this to skip without producing every op.
+    fn skip(&mut self, n: u64) -> bool {
+        (0..n).all(|_| self.next_op().is_some())
+    }
 }
 
 /// Wraps a stream so each op is issued `factor` times in a row.
