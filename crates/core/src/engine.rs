@@ -476,13 +476,8 @@ impl BorderControl {
                 let blocks = table.zero(store, None);
                 // The zeroing writes are streamed back-to-back; DRAM
                 // channel occupancy (not per-access latency) bounds them.
-                let mut t = at;
-                for i in 0..blocks {
-                    let done =
-                        dram.write_block(at, table.base().byte(0).offset(i * bc_mem::BLOCK_SIZE));
-                    t = t.max(done);
-                    self.pt_writes.inc();
-                }
+                let t = dram.write_blocks(at, blocks);
+                self.pt_writes.add(blocks);
                 if let Some(bcc) = &mut self.bcc {
                     bcc.invalidate_all();
                 }

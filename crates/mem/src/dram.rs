@@ -207,6 +207,20 @@ impl Dram {
         served + self.config.effective_latency() + self.config.backend.write_coherence_cycles()
     }
 
+    /// Issues `n` block writes that all arrive at `at`, booking exactly
+    /// what `n` calls of [`Self::write_block`] book, and returns the
+    /// latest completion (`at` when `n` is zero). A Protection Table's
+    /// zeroing streams its blocks this way.
+    pub fn write_blocks(&mut self, at: Cycle, n: u64) -> Cycle {
+        if n == 0 {
+            return at;
+        }
+        self.writes.add(n);
+        let service = self.config.service_per_block * self.config.backend.service_factor();
+        let served = self.channels.serve_burst(at, service, n);
+        served + self.config.effective_latency() + self.config.backend.write_coherence_cycles()
+    }
+
     /// Total block reads issued.
     #[must_use]
     pub fn reads(&self) -> u64 {
@@ -409,6 +423,57 @@ mod tests {
         assert_eq!(local.effective_latency(), local.access_latency);
         assert_eq!(MemBackend::from_flag("cxl"), Some(MemBackend::CxlPool));
         assert_eq!(MemBackend::CxlPool.to_string(), "cxl-pool");
+    }
+
+    /// Snapshot bytes: the device's whole state (calendars, counters).
+    fn state(d: &Dram) -> Vec<u8> {
+        let mut w = bc_sim::snapshot::SnapWriter::new();
+        w.snap(d);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn write_blocks_books_what_repeated_write_block_books() {
+        for backend in [MemBackend::LocalDram, MemBackend::CxlPool] {
+            let cfg = DramConfig {
+                backend,
+                ..DramConfig::default()
+            };
+            for n in [0u64, 1, 3, 128] {
+                let mut burst = Dram::new(cfg);
+                let mut single = Dram::new(cfg);
+                // A read in flight keeps channel 0 busy when the burst arrives.
+                for d in [&mut burst, &mut single] {
+                    d.read_block(Cycle::new(40), PhysAddr::new(0));
+                }
+                let at = Cycle::new(41);
+                let done = burst.write_blocks(at, n);
+                let want = (0..n)
+                    .map(|_| single.write_block(at, PhysAddr::new(0)))
+                    .max()
+                    .unwrap_or(at);
+                assert_eq!(done, want, "{backend}: {n} blocks");
+                assert_eq!(burst.writes(), n, "{backend}: write counter");
+                assert_eq!(state(&burst), state(&single), "{backend}: {n} blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn write_blocks_completes_a_write_latency_after_its_last_transfer() {
+        let pool = DramConfig {
+            backend: MemBackend::CxlPool,
+            ..DramConfig::default()
+        };
+        // One block: transfer + DIMM latency + fabric hop + ownership grant.
+        let one = Dram::new(pool).write_blocks(Cycle::ZERO, 1);
+        assert_eq!(one.as_u64(), 4 + 100 + 120 + 40);
+        // Nine blocks on four idle channels take three rounds of
+        // 4-cycle transfers; the last ends at 12.
+        let nine = Dram::new(pool).write_blocks(Cycle::ZERO, 9);
+        assert_eq!(nine.as_u64(), 12 + 100 + 120 + 40);
+        let local = Dram::new(DramConfig::default()).write_blocks(Cycle::ZERO, 9);
+        assert_eq!(local.as_u64(), 6 + 100);
     }
 
     #[test]

@@ -193,10 +193,15 @@ impl Port {
         self.busy.insert(lo, (start, end));
     }
 
-    fn prune(&mut self) {
+    /// Intervals ending before this instant are retired by `prune`.
+    fn retain_cutoff(&self) -> u64 {
         // bc-lint: allow(saturating-counter) — retention-window clamp near
         // t=0, not a decrementing counter; zero cutoff keeps everything.
-        let cutoff = self.max_arrival.saturating_sub(RETAIN_CYCLES);
+        self.max_arrival.saturating_sub(RETAIN_CYCLES)
+    }
+
+    fn prune(&mut self) {
+        let cutoff = self.retain_cutoff();
         // Walk forward: each interval retires once, so this is amortized
         // O(1), and most bookings retire nothing.
         while self.busy.get(self.head).is_some_and(|&(_, e)| e < cutoff) {
@@ -355,6 +360,48 @@ impl Channels {
             }
         }
         self.ports[best].serve_at(arrival, best_start, service)
+    }
+
+    /// Serves `n` requests that all arrive at `arrival` and each need
+    /// `service` cycles, booking exactly what `n` calls of
+    /// [`Self::serve`] book, and returns the latest completion (`arrival`
+    /// when `n` is zero).
+    ///
+    /// Each channel's calendar is searched once up front; after every
+    /// booking only the winning channel is searched again. Booking a
+    /// channel only removes feasible starts, so its next start for the
+    /// same arrival is the earliest one at or after the completion just
+    /// booked, a search that begins at the calendar's tail. The exception
+    /// is an arrival more than the retention window behind the channel's
+    /// latest arrival: there pruning can retire the interval just booked
+    /// and reopen its slot, so the search starts from the arrival, as
+    /// `serve` would.
+    pub fn serve_burst(&mut self, arrival: Cycle, service: u64, n: u64) -> Cycle {
+        let mut starts: Vec<Cycle> = self
+            .ports
+            .iter()
+            .map(|p| p.earliest_start(arrival, service))
+            .collect();
+        let mut latest = arrival;
+        for _ in 0..n {
+            // Ties go to the lowest channel, as in `serve`.
+            let mut best = 0;
+            for (i, &s) in starts.iter().enumerate().skip(1) {
+                if s < starts[best] {
+                    best = i;
+                }
+            }
+            let port = &mut self.ports[best];
+            let done = port.serve_at(arrival, starts[best], service);
+            latest = latest.max(done);
+            let from = if arrival.as_u64() < port.retain_cutoff() {
+                arrival
+            } else {
+                done
+            };
+            starts[best] = port.earliest_start(from, service);
+        }
+        latest
     }
 
     /// Number of channels.

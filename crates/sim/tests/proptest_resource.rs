@@ -2,6 +2,7 @@
 //! queue.
 
 use bc_sim::resource::{Channels, Port};
+use bc_sim::snapshot::SnapWriter;
 use bc_sim::{Cycle, EventQueue, SimRng};
 use proptest::prelude::*;
 
@@ -123,6 +124,15 @@ fn assert_port_matches(
     prop_assert_eq!(q.max(), model.delays.iter().copied().max().unwrap_or(0));
     prop_assert_eq!(port.idle_from().as_u64(), model.idle_from());
     Ok(())
+}
+
+/// A bank's whole behavioral state as its snapshot bytes: every live
+/// calendar, latest arrival, served count, busy-cycle total and
+/// queue-delay histogram.
+fn snap_bytes(bank: &Channels) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.snap(bank);
+    w.into_bytes()
 }
 
 proptest! {
@@ -252,6 +262,52 @@ proptest! {
         for (port, model) in bank.ports().iter().zip(&model) {
             assert_port_matches(port, model)?;
         }
+    }
+
+    /// A burst books exactly what as many single bookings book. The bank
+    /// is pre-loaded with a DRAM-like stream and reservations ahead of it;
+    /// the burst arrives either inside every channel's retained window or
+    /// more than the window behind the latest arrival, where pruning can
+    /// retire a fresh booking and reopen its slot. Both banks must report
+    /// the same latest completion, end in byte-identical state, and book
+    /// one more request identically.
+    #[test]
+    fn burst_books_what_repeated_serves_book(
+        seed in any::<u64>(),
+        len in 0usize..600,
+        gap in 1u64..32,
+        channels in 1usize..5,
+        reservations in proptest::collection::vec((0u64..2 * RETAIN_CYCLES, 1u64..64), 0..12),
+        back in prop_oneof![0u64..RETAIN_CYCLES, RETAIN_CYCLES + 1..3 * RETAIN_CYCLES],
+        n in 0u64..301,
+        service in 0u64..9,
+    ) {
+        let mut burst = Channels::new(channels);
+        let stream = dram_stream(seed, len, gap);
+        let mut latest = 0;
+        for &(arrival, service) in &stream {
+            burst.serve(Cycle::new(arrival), service);
+            latest = latest.max(arrival);
+        }
+        let stream_end = latest;
+        for &(offset, service) in &reservations {
+            burst.serve(Cycle::new(stream_end + offset), service);
+            latest = latest.max(stream_end + offset);
+        }
+        let mut single = burst.clone();
+        let arrival = Cycle::new(latest - back.min(latest));
+
+        let done = burst.serve_burst(arrival, service, n);
+        let mut want = arrival;
+        for _ in 0..n {
+            want = want.max(single.serve(arrival, service));
+        }
+        prop_assert_eq!(done, want, "latest completion of {} bookings", n);
+        prop_assert!(snap_bytes(&burst) == snap_bytes(&single), "bank state diverged");
+
+        let next = Cycle::new(latest - (back / 2).min(latest));
+        prop_assert_eq!(burst.serve(next, service + 1), single.serve(next, service + 1));
+        prop_assert!(snap_bytes(&burst) == snap_bytes(&single), "next booking diverged");
     }
 
     /// The RNG's below() is unbiased enough and in-bounds for any bound.

@@ -39,7 +39,7 @@ use bc_iommu::{Ats, AtsConfig};
 use bc_mem::addr::{Asid, Ppn, Vpn};
 use bc_mem::dram::{Dram, DramConfig, MemBackend};
 use bc_mem::perms::PagePerms;
-use bc_mem::{VirtAddr, BLOCK_SIZE};
+use bc_mem::VirtAddr;
 use bc_os::sched::{DrainReason, SchedAction, SchedEvent, Scheduler, TenantPhase};
 use bc_os::{Kernel, KernelConfig, ViolationPolicy};
 use bc_sim::audit::{AuditReport, Auditor};
@@ -609,23 +609,12 @@ impl HostBackend {
     fn teardown(&mut self, now: Cycle, accel: usize, tenant: usize, reason: DrainReason) {
         let asid = self.recs[tenant].asid;
         self.drain_shootdowns();
-        let mut t = now;
-        let base = self.slots[accel]
-            .bc
-            .table()
-            .map(bc_core::ProtectionTable::base);
         let blocks = self.slots[accel].bc.detach_process(&mut self.kernel, asid);
         self.pt_zero_blocks += blocks;
-        if let Some(base) = base {
-            // The zeroing writes stream back-to-back; channel occupancy
-            // bounds them, exactly like the engine's ZeroAll path.
-            for i in 0..blocks {
-                let done = self
-                    .dram
-                    .write_block(now, base.byte(0).offset(i * BLOCK_SIZE));
-                t = t.max(done);
-            }
-        }
+        // The zeroing writes stream back-to-back as one burst; channel
+        // occupancy bounds them, exactly like the engine's ZeroAll path.
+        // Without a table there is nothing to zero and `t` stays `now`.
+        let t = self.dram.write_blocks(now, blocks);
         self.slots[accel].ats.flush();
         if let Some(a) = &mut self.slots[accel].auditor {
             a.revoke_all();

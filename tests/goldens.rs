@@ -79,22 +79,37 @@ fn check(name: &str, json: &str) {
     );
 }
 
-/// Every safety model, two workloads with different access shapes
-/// (regular nn, irregular bfs), pinned byte-for-byte.
-#[test]
-fn tiny_run_reports_match_goldens() {
+/// Every golden configuration with its file name: every safety model on
+/// two workloads with different access shapes (regular nn, irregular
+/// bfs), plus Border Control-BCC under a downgrade storm, whose
+/// full-flush downgrades zero the whole Protection Table.
+fn cases() -> Vec<(String, SystemConfig)> {
+    let mut cases = Vec::new();
     for safety in SafetyModel::ALL {
         for workload in ["nn", "bfs"] {
-            let report = System::build(&tiny(safety, workload))
-                .expect("tiny config builds")
-                .run();
             let name = format!("tiny_{}_{}.json", slug(safety.label()), workload);
-            check(&name, &encode_report(&report));
+            cases.push((name, tiny(safety, workload)));
         }
+    }
+    let mut storm = tiny(SafetyModel::BorderControlBcc, "bfs");
+    storm.downgrades_per_second = 200_000;
+    cases.push(("tiny_border-control-bcc_bfs_storm.json".to_string(), storm));
+    cases
+}
+
+/// Every case, pinned byte-for-byte.
+#[test]
+fn tiny_run_reports_match_goldens() {
+    for (name, config) in cases() {
+        let report = System::build(&config).expect("tiny config builds").run();
+        if config.downgrades_per_second > 0 {
+            assert!(report.downgrades > 0, "{name}: the storm never fired");
+        }
+        check(&name, &encode_report(&report));
     }
 }
 
-/// The same ten configurations, run through the snapshot/warm-start path
+/// The same configurations, run through the snapshot/warm-start path
 /// — simulate to a mid-run cut, serialize, restore from the bytes, finish
 /// — must reproduce the committed goldens byte-for-byte. This pins the
 /// warm-start acceptance criterion directly against the canonical
@@ -105,18 +120,14 @@ fn tiny_run_reports_match_goldens_through_warm_start() {
         return; // goldens may be mid-rewrite under the straight-run test
     }
     const REV: &str = "goldens-warm-start";
-    for safety in SafetyModel::ALL {
-        for workload in ["nn", "bfs"] {
-            let config = tiny(safety, workload);
-            let bytes = System::build(&config)
-                .expect("tiny config builds")
-                .snapshot_to(bc_sim::Cycle::new(2_500), REV);
-            let report = System::restore(&config, &bytes, REV, &bc_workloads::LiveSynthesis)
-                .expect("snapshot restores")
-                .run();
-            let name = format!("tiny_{}_{}.json", slug(safety.label()), workload);
-            check(&name, &encode_report(&report));
-        }
+    for (name, config) in cases() {
+        let bytes = System::build(&config)
+            .expect("tiny config builds")
+            .snapshot_to(bc_sim::Cycle::new(2_500), REV);
+        let report = System::restore(&config, &bytes, REV, &bc_workloads::LiveSynthesis)
+            .expect("snapshot restores")
+            .run();
+        check(&name, &encode_report(&report));
     }
 }
 
@@ -148,5 +159,8 @@ fn goldens_are_well_formed() {
             path.display()
         );
     }
-    assert_eq!(seen, 10, "expected 5 safety models x 2 workloads");
+    assert_eq!(
+        seen, 11,
+        "expected 5 safety models x 2 workloads, plus the storm"
+    );
 }
