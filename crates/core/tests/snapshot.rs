@@ -61,7 +61,6 @@ fn kernel_round_trip_preserves_processes_and_books() {
     );
 
     // Queued shootdowns drain identically.
-    let mut k = k;
     assert_eq!(r.take_shootdowns(), k.take_shootdowns());
     // Shared-frame refcounts survive: resolving CoW in the child splits
     // the same way, and future process ids continue from the same point.

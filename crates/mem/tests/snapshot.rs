@@ -53,7 +53,6 @@ fn store_round_trip_preserves_contents_and_tiers() {
     }
     // The undrained accelerator-write log survives the cut.
     let mut r = r;
-    let mut m = m;
     assert_eq!(r.take_accel_writes(), m.take_accel_writes());
 }
 

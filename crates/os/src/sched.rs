@@ -667,14 +667,15 @@ mod tests {
             }]
         ));
         // Sibling keeps running the whole time.
-        assert!(matches!(s4.tenants[1], TenantPhase::Running(1)));
+        assert!(matches!(s4.tenants.get(1), Some(TenantPhase::Running(1))));
         let (s5, _) = step(&s4, SchedEvent::TeardownComplete { accel: 0 }).unwrap();
-        assert!(matches!(s5.tenants[0], TenantPhase::Killed));
+        assert!(matches!(s5.tenants.first(), Some(TenantPhase::Killed)));
         assert!(invariant_violations(&s5).is_empty());
         // Accel 0 is clean and idle again — but the queue is empty, so
         // no dispatch is enabled there.
-        assert!(!s5.accels[0].residue);
-        assert_eq!(s5.accels[0].bound, None);
+        let accel0 = s5.accels.first().expect("accel 0");
+        assert!(!accel0.residue);
+        assert_eq!(accel0.bound, None);
     }
 
     #[test]
@@ -684,7 +685,7 @@ mod tests {
         let (s2, _) = step(&s1, SchedEvent::JobDone { accel: 0 }).unwrap();
         let (s3, _) = step(&s2, SchedEvent::DrainComplete { accel: 0 }).unwrap();
         s = s3;
-        assert!(s.accels[0].residue);
+        assert!(s.accels.first().is_some_and(|a| a.residue));
         // Tenant 1 is queued and ready, but the slot is dirty: no
         // Dispatch may be enabled, and forcing one must be rejected.
         assert!(!enabled_events(&s)

@@ -7,15 +7,20 @@
 //! window slides with the pop cursor; only events scheduled at least
 //! [`EventQueue::WHEEL_CYCLES`] ahead of it pay for heap ordering, and
 //! each migrates into the wheel once, as soon as the window reaches it.
+//! Every pending payload lives in one slab of slots; buckets and heaps
+//! hold slot indices, so neither migration nor a bucket's growth moves
+//! an event.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
 /// Cycles the wheel window covers; see [`EventQueue::WHEEL_CYCLES`].
 const N: usize = 1024;
 const WORDS: usize = N / 64;
+/// End of a slot chain (bucket list or free list).
+const NIL: u32 = u32::MAX;
 
 /// A min-ordered queue of `(Cycle, E)` events with deterministic FIFO
 /// ordering for events scheduled at the same cycle.
@@ -26,23 +31,30 @@ const WORDS: usize = N / 64;
 ///
 /// # Structure
 ///
-/// Three tiers, disjoint in the cycles they may hold (`past < cur ≤ wheel <
+/// Every pending payload sits in a slot of one slab; freed slots are
+/// reused last-in first-out, so the slab stays as large as the peak
+/// pending count and the hot slots stay in cache. Three tiers of slot
+/// indices, disjoint in the cycles they may hold (`past < cur ≤ wheel <
 /// cur + WHEEL_CYCLES ≤ overflow`), so same-cycle FIFO never has to be
 /// arbitrated *across* tiers:
 ///
 /// * **Wheel** — [`Self::WHEEL_CYCLES`] buckets of width one cycle covering
 ///   the window `[cur, cur + WHEEL_CYCLES)`, where `cur` is the pop cursor.
-///   Each bucket is a FIFO `VecDeque`; a 1-bit-per-bucket occupancy bitmap
-///   lets `pop` skip runs of idle cycles with a handful of word scans
-///   instead of walking empty buckets. Within the window each bucket maps
-///   to exactly one cycle, so bucket FIFO order *is* same-cycle FIFO order.
-/// * **Overflow heap** — events at or beyond the window's end, ordered by
-///   `(cycle, seq)`. Whenever a pop moves the cursor, every overflow event
-///   the window now covers migrates into the wheel in `(cycle, seq)` order;
-///   when the wheel drains, the cursor jumps to the earliest overflow
-///   event first. A push reaches the wheel directly only once its cycle is
-///   inside the window, which is after that cycle's overflow events have
-///   migrated, so FIFO holds exactly.
+///   Each bucket is a FIFO list threaded through the slots (a head and a
+///   tail index; each slot links to the next); a 1-bit-per-bucket
+///   occupancy bitmap lets a pop skip runs of idle cycles with a handful
+///   of word scans instead of walking empty buckets. Within the window
+///   each bucket maps to exactly one cycle, so bucket FIFO order *is*
+///   same-cycle FIFO order, and [`Self::pop_cycle`] takes a whole cycle
+///   by unlinking one list.
+/// * **Overflow heap** — `(cycle, seq, slot)` entries for events at or
+///   beyond the window's end. Whenever a pop moves the cursor, every
+///   overflow event the window now covers migrates into the wheel in
+///   `(cycle, seq)` order by relinking its slot; when the wheel drains,
+///   the cursor jumps to the earliest overflow event first. A push
+///   reaches the wheel directly only once its cycle is inside the window,
+///   which is after that cycle's overflow events have migrated, so FIFO
+///   holds exactly.
 /// * **Past heap** — events pushed at cycles strictly before the pop
 ///   cursor. The simulator never does this (scheduling into the past is an
 ///   audited bug), but adversarial callers — the model-based proptest —
@@ -58,13 +70,20 @@ const WORDS: usize = N / 64;
 /// q.push(Cycle::new(4), "b");
 /// q.push(Cycle::new(4), "c");
 /// q.push(Cycle::new(1), "a");
-/// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-/// assert_eq!(order, vec!["a", "b", "c"]);
+/// assert_eq!(q.pop(), Some((Cycle::new(1), "a")));
+/// let mut batch = Vec::new();
+/// assert_eq!(q.pop_cycle(Cycle::new(4), &mut batch), None, "4 is not below 4");
+/// assert_eq!(q.pop_cycle(Cycle::new(5), &mut batch), Some(Cycle::new(4)));
+/// assert_eq!(batch, vec!["b", "c"]);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// One FIFO bucket per cycle of the window.
-    buckets: Vec<VecDeque<E>>,
+    /// Payload slots, indexed by the wheel lists and both heaps.
+    slots: Vec<Slot<E>>,
+    /// Head of the free-slot list (LIFO).
+    free: u32,
+    /// One FIFO slot list per cycle of the window.
+    buckets: Box<[Bucket; N]>,
     /// Occupancy bitmap over `buckets` (bit set ⇔ bucket non-empty).
     occ: [u64; WORDS],
     /// Pop cursor and window start: no wheel event lives before this cycle.
@@ -72,9 +91,9 @@ pub struct EventQueue<E> {
     /// Events currently in the wheel.
     wheel_len: usize,
     /// Events at or beyond `cur + WHEEL_CYCLES`.
-    overflow: BinaryHeap<Entry<E>>,
+    overflow: BinaryHeap<HeapEntry>,
     /// Events pushed at cycles `< cur` (adversarial input only).
-    past: BinaryHeap<Entry<E>>,
+    past: BinaryHeap<HeapEntry>,
     next_seq: u64,
     /// Self-check state under the `audit` feature: pops must be globally
     /// monotone in time (the defining min-order property the run loop
@@ -87,37 +106,31 @@ pub struct EventQueue<E> {
     order_violations: Vec<(Cycle, Cycle)>,
 }
 
+/// A slab slot: the payload of one pending event (`None` once freed) and
+/// the next slot of its bucket list or of the free list.
 #[derive(Debug)]
-struct Entry<E> {
-    at: Cycle,
-    seq: u64,
-    payload: E,
+struct Slot<E> {
+    payload: Option<E>,
+    next: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// A wheel bucket: the first and last slot of its FIFO list.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
 
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
 }
 
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first, and
-        // among equal timestamps, lowest sequence number first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// A heap entry `(cycle, seq, slot)`, reversed so the max-heap pops the
+/// earliest cycle and, among equal cycles, the lowest sequence number.
+type HeapEntry = Reverse<(u64, u64, u32)>;
 
 impl<E> EventQueue<E> {
     /// Cycles the wheel window covers (bucket width is one cycle). Sized to
@@ -136,7 +149,9 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..N).map(|_| VecDeque::new()).collect(),
+            slots: Vec::new(),
+            free: NIL,
+            buckets: Box::new([Bucket::EMPTY; N]),
             occ: [0; WORDS],
             cur: 0,
             wheel_len: 0,
@@ -158,12 +173,54 @@ impl<E> EventQueue<E> {
         t - self.cur < N as u64
     }
 
-    /// Appends `payload` to the bucket of in-window cycle `t`.
+    /// Stores `payload` in a free slot (the most recently freed one, or
+    /// a new one) and returns its index.
     #[inline]
-    fn push_wheel(&mut self, t: u64, payload: E) {
+    fn alloc(&mut self, payload: E) -> u32 {
+        if self.free == NIL {
+            let s = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("fewer than 2^32 - 1 pending events");
+            self.slots.push(Slot {
+                payload: Some(payload),
+                next: NIL,
+            });
+            return s;
+        }
+        let s = self.free;
+        let slot = &mut self.slots[s as usize];
+        self.free = slot.next;
+        slot.payload = Some(payload);
+        slot.next = NIL;
+        s
+    }
+
+    /// Takes the payload out of slot `s` and returns the slot to the
+    /// free list.
+    #[inline]
+    fn release(&mut self, s: u32) -> E {
+        let slot = &mut self.slots[s as usize];
+        slot.next = self.free;
+        self.free = s;
+        slot.payload
+            .take()
+            .expect("a pending slot holds its payload")
+    }
+
+    /// Appends slot `s` (whose link is `NIL`) to the bucket of in-window
+    /// cycle `t`.
+    #[inline]
+    fn link(&mut self, t: u64, s: u32) {
         let r = (t % N as u64) as usize;
-        self.occ[r / 64] |= 1 << (r % 64);
-        self.buckets[r].push_back(payload);
+        let b = &mut self.buckets[r];
+        if b.tail == NIL {
+            b.head = s;
+            self.occ[r / 64] |= 1 << (r % 64);
+        } else {
+            self.slots[b.tail as usize].next = s;
+        }
+        b.tail = s;
         self.wheel_len += 1;
     }
 
@@ -171,29 +228,40 @@ impl<E> EventQueue<E> {
     /// The heap pops in `(cycle, seq)` order, so bucket FIFO order equals
     /// push order.
     fn migrate(&mut self) {
-        while let Some(top) = self.overflow.peek() {
-            let t = top.at.as_u64();
+        while let Some(&Reverse((t, _, s))) = self.overflow.peek() {
             if !self.in_window(t) {
                 break;
             }
-            let e = self.overflow.pop().expect("peeked");
-            self.push_wheel(t, e.payload);
+            self.overflow.pop();
+            self.link(t, s);
+        }
+    }
+
+    /// Slides the window to start at `t`, the cycle just popped from the
+    /// wheel: buckets below it are empty (it was the wheel minimum), so
+    /// the window may take in what it now covers.
+    #[inline]
+    fn advance(&mut self, t: u64) {
+        if t != self.cur {
+            self.cur = t;
+            self.migrate();
         }
     }
 
     /// Schedules `payload` to fire at instant `at`.
     pub fn push(&mut self, at: Cycle, payload: E) {
         let t = at.as_u64();
+        let s = self.alloc(payload);
+        if t >= self.cur && self.in_window(t) {
+            self.link(t, s);
+            return;
+        }
+        let entry = Reverse((t, self.next_seq, s));
+        self.next_seq += 1;
         if t < self.cur {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.past.push(Entry { at, seq, payload });
-        } else if self.in_window(t) {
-            self.push_wheel(t, payload);
+            self.past.push(entry);
         } else {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.overflow.push(Entry { at, seq, payload });
+            self.overflow.push(entry);
         }
     }
 
@@ -233,16 +301,31 @@ impl<E> EventQueue<E> {
         self.cur + ((r + N - start) % N) as u64
     }
 
+    /// Residue of the wheel's earliest bucket when its cycle is below
+    /// `below`. An empty wheel first jumps the window to the earliest
+    /// overflow event — only when that event is below `below`, so a
+    /// refusal leaves the window where it was.
+    fn first_bucket(&mut self, below: u64) -> Option<(usize, u64)> {
+        if self.wheel_len == 0 {
+            let &Reverse((t, _, _)) = self.overflow.peek()?;
+            if t >= below {
+                return None;
+            }
+            self.cur = t;
+            self.migrate();
+        }
+        let r = self.next_occupied().expect("wheel_len > 0");
+        let t = self.cycle_of(r);
+        debug_assert!(self.in_window(t));
+        (t < below).then_some((r, t))
+    }
+
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let popped = self.pop_inner();
         #[cfg(feature = "audit")]
         if let Some((at, _)) = &popped {
-            if *at < self.last_popped {
-                self.order_violations.push((self.last_popped, *at));
-            } else {
-                self.last_popped = *at;
-            }
+            self.check_order(*at);
         }
         popped
     }
@@ -250,29 +333,75 @@ impl<E> EventQueue<E> {
     fn pop_inner(&mut self) -> Option<(Cycle, E)> {
         // Past events are strictly below `cur`, hence below every wheel
         // and overflow event: drain them first.
-        if let Some(e) = self.past.pop() {
-            return Some((e.at, e.payload));
+        if let Some(Reverse((t, _, s))) = self.past.pop() {
+            return Some((Cycle::new(t), self.release(s)));
         }
-        if self.wheel_len == 0 {
-            // Jump the window to the earliest overflow event.
-            self.cur = self.overflow.peek()?.at.as_u64();
-            self.migrate();
-        }
-        let r = self.next_occupied().expect("wheel_len > 0");
-        let t = self.cycle_of(r);
-        debug_assert!(self.in_window(t));
-        let payload = self.buckets[r].pop_front().expect("occupied bucket");
-        if self.buckets[r].is_empty() {
+        let (r, t) = self.first_bucket(u64::MAX)?;
+        let b = &mut self.buckets[r];
+        let s = b.head;
+        b.head = self.slots[s as usize].next;
+        if b.head == NIL {
+            b.tail = NIL;
             self.occ[r / 64] &= !(1 << (r % 64));
         }
         self.wheel_len -= 1;
-        // Buckets below `t` are empty (it was the wheel minimum), so the
-        // window may slide to start at `t` and take in what it now covers.
-        if t != self.cur {
-            self.cur = t;
-            self.migrate();
-        }
+        let payload = self.release(s);
+        self.advance(t);
         Some((Cycle::new(t), payload))
+    }
+
+    /// Moves every event of the earliest pending cycle onto `out`, in the
+    /// order repeated [`Self::pop`] calls would return them, and returns
+    /// that cycle — provided it is below `below`. Otherwise returns `None`
+    /// and leaves the queue as it was. One call replaces a `peek_time`
+    /// check and one `pop` per event of the cycle.
+    pub fn pop_cycle(&mut self, below: Cycle, out: &mut Vec<E>) -> Option<Cycle> {
+        let popped = self.pop_cycle_inner(below.as_u64(), out);
+        #[cfg(feature = "audit")]
+        if let Some(at) = popped {
+            self.check_order(at);
+        }
+        popped
+    }
+
+    fn pop_cycle_inner(&mut self, below: u64, out: &mut Vec<E>) -> Option<Cycle> {
+        // A past cycle lies wholly in the past heap (every wheel and
+        // overflow event is at or after `cur`).
+        if let Some(&Reverse((t, _, _))) = self.past.peek() {
+            if t >= below {
+                return None;
+            }
+            while let Some(&Reverse((u, _, s))) = self.past.peek() {
+                if u != t {
+                    break;
+                }
+                self.past.pop();
+                out.push(self.release(s));
+            }
+            return Some(Cycle::new(t));
+        }
+        let (r, t) = self.first_bucket(below)?;
+        let mut s = self.buckets[r].head;
+        self.buckets[r] = Bucket::EMPTY;
+        self.occ[r / 64] &= !(1 << (r % 64));
+        while s != NIL {
+            let next = self.slots[s as usize].next;
+            out.push(self.release(s));
+            self.wheel_len -= 1;
+            s = next;
+        }
+        self.advance(t);
+        Some(Cycle::new(t))
+    }
+
+    /// Records `at` against the previous pop's cycle for the audit layer.
+    #[cfg(feature = "audit")]
+    fn check_order(&mut self, at: Cycle) {
+        if at < self.last_popped {
+            self.order_violations.push((self.last_popped, at));
+        } else {
+            self.last_popped = at;
+        }
     }
 
     /// The timestamp of the earliest pending event, if any. Unlike `pop`
@@ -280,14 +409,16 @@ impl<E> EventQueue<E> {
     /// advancing the cursor.
     #[must_use]
     pub fn peek_time(&self) -> Option<Cycle> {
-        if let Some(e) = self.past.peek() {
-            return Some(e.at);
+        if let Some(&Reverse((t, _, _))) = self.past.peek() {
+            return Some(Cycle::new(t));
         }
         if self.wheel_len > 0 {
             let r = self.next_occupied().expect("wheel_len > 0");
             return Some(Cycle::new(self.cycle_of(r)));
         }
-        self.overflow.peek().map(|e| e.at)
+        self.overflow
+            .peek()
+            .map(|&Reverse((t, _, _))| Cycle::new(t))
     }
 
     /// Number of pending events.
@@ -304,10 +435,10 @@ impl<E> EventQueue<E> {
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free = NIL;
         if self.wheel_len > 0 {
-            for b in &mut self.buckets {
-                b.clear();
-            }
+            self.buckets.fill(Bucket::EMPTY);
         }
         self.occ = [0; WORDS];
         self.cur = 0;

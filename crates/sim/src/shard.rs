@@ -10,7 +10,8 @@
 //! event must be scheduled at least `lookahead` cycles in the future, so
 //! each barrier round can safely dispatch every event below
 //! `global_min + lookahead` without ever receiving a message into its
-//! past.
+//! past. A one-shard run has no peer to wait for and runs no rounds: it
+//! dispatches its calendar a cycle at a time.
 //!
 //! # Determinism
 //!
@@ -145,7 +146,8 @@ pub struct ShardOrderViolation {
 pub struct ShardRun {
     /// Total events dispatched across all components.
     pub dispatched: u64,
-    /// Synchronization rounds executed (barrier windows).
+    /// Synchronization rounds executed (barrier windows). Always 0 for a
+    /// one-shard run, which dispatches cycle by cycle without rounds.
     pub rounds: u64,
     /// Contract violations, sorted by `(now, src, seq)`. Empty on every
     /// well-formed model.
@@ -613,9 +615,9 @@ impl<E: Send> ShardEngine<E> {
     }
 }
 
-/// One shard's synchronized round loop. `until` caps the dispatch
-/// horizon: events at or beyond it stay queued and the loop exits once
-/// the global minimum reaches it (`u64::MAX` = run to completion).
+/// One shard's dispatch loop. `until` caps the dispatch horizon: events
+/// at or beyond it stay queued and the loop exits once the global
+/// minimum reaches it (`u64::MAX` = run to completion).
 fn run_shard<E, H: ShardHandler<E>>(
     sid: usize,
     spec: &ShardSpec,
@@ -626,6 +628,7 @@ fn run_shard<E, H: ShardHandler<E>>(
     until: u64,
 ) -> ShardStats {
     let _poison = PoisonOnPanic(&shared.barrier);
+    let alone = spec.shards == 1;
     let mut remote: Vec<Wire<E>> = Vec::new();
     let mut outgoing: Vec<Vec<Wire<E>>> = (0..spec.shards).map(|_| Vec::new()).collect();
     let mut batch: Vec<Keyed<E>> = Vec::new();
@@ -633,40 +636,46 @@ fn run_shard<E, H: ShardHandler<E>>(
     let mut rounds = 0u64;
     let mut dispatched = 0u64;
     loop {
-        // Phase A: deliver last round's mail, publish the local minimum.
-        {
-            let mut mailbox = shared.mailboxes[sid].lock().expect("mailbox lock");
-            for (at, k) in mailbox.drain(..) {
-                queue.push(at, k);
+        // A lone shard has no peer to hear from, so nothing can arrive
+        // below `until`: it dispatches straight there in one pass, with
+        // no mailbox, published minimum, barrier or round.
+        let horizon = if alone {
+            until
+        } else {
+            // Phase A: deliver last round's mail, publish the local
+            // minimum.
+            {
+                let mut mailbox = shared.mailboxes[sid].lock().expect("mailbox lock");
+                for (at, k) in mailbox.drain(..) {
+                    queue.push(at, k);
+                }
             }
-        }
-        let local_min = queue.peek_time().map_or(u64::MAX, Cycle::as_u64);
-        shared.mins[sid].store(local_min, Ordering::Release);
-        shared.barrier.wait();
+            let local_min = queue.peek_time().map_or(u64::MAX, Cycle::as_u64);
+            shared.mins[sid].store(local_min, Ordering::Release);
+            shared.barrier.wait();
 
-        // Phase B: everyone computes the same horizon from the published
-        // minima, dispatches everything strictly below it, and flushes
-        // outgoing wires before the closing barrier (so the next round's
-        // Phase A sees them).
-        let global_min = shared
-            .mins
-            .iter()
-            .map(|m| m.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(u64::MAX);
-        if global_min == u64::MAX || global_min >= until {
-            break;
-        }
-        rounds += 1;
-        let horizon = global_min.saturating_add(spec.lookahead).min(until);
-        while let Some(t) = queue.peek_time().filter(|t| t.as_u64() < horizon) {
-            while queue.peek_time() == Some(t) {
-                batch.push(queue.pop().expect("peeked non-empty").1);
+            // Phase B: everyone computes the same horizon from the
+            // published minima, dispatches everything strictly below it,
+            // and flushes outgoing wires before the closing barrier (so
+            // the next round's Phase A sees them).
+            let global_min = shared
+                .mins
+                .iter()
+                .map(|m| m.load(Ordering::Acquire))
+                .min()
+                .unwrap_or(u64::MAX);
+            if global_min == u64::MAX || global_min >= until {
+                break;
             }
+            rounds += 1;
+            global_min.saturating_add(spec.lookahead).min(until)
+        };
+        while let Some(t) = queue.pop_cycle(Cycle::new(horizon), &mut batch) {
             // The deterministic same-cycle order: by target component,
             // then source component, then the source's own issue sequence
             // — independent of mailbox arrival interleaving.
             batch.sort_by_key(|k| (k.comp, k.src, k.seq));
+            dispatched += batch.len() as u64;
             for k in batch.drain(..) {
                 let comp = k.comp as CompId;
                 let mut out = Outbox {
@@ -681,8 +690,10 @@ fn run_shard<E, H: ShardHandler<E>>(
                     violations: &mut violations,
                 };
                 handler.handle(comp, t, k.ev, &mut out);
-                dispatched += 1;
             }
+        }
+        if alone {
+            break;
         }
         for w in remote.drain(..) {
             outgoing[spec.assignment[w.1.comp as usize]].push(w);

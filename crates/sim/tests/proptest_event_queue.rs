@@ -8,7 +8,8 @@
 //! every popped `(cycle, payload)` pair including same-cycle FIFO ties,
 //! plus `peek_time` and `len` after every operation — and for inputs the
 //! simulator itself never produces, like pushes at cycles the pop cursor
-//! has already passed.
+//! has already passed. `pop_cycle` is pinned to repeated `pop` the same
+//! way.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -200,6 +201,94 @@ proptest! {
                 break;
             }
         }
+    }
+
+    /// `pop_cycle(below, …)` is repeated `pop` for the earliest cycle: it
+    /// moves out exactly the events, in the same order, that `pop` would
+    /// return for that cycle, and returns the cycle — or, when the cycle
+    /// is at or past `below` (or nothing is pending), returns `None` and
+    /// leaves `len` and `peek_time` as they were. Pushes land inside the
+    /// window (near the cursor and across it), astride the window's end,
+    /// in the overflow range and behind the cursor, interleaved with
+    /// single pops and with `pop_cycle` bounds on both sides of the
+    /// earliest cycle. Events astride the window's end are the ones a
+    /// cursor move must migrate before a later push or pop reaches
+    /// their cycle.
+    #[test]
+    fn pop_cycle_matches_repeated_pop(
+        ops in proptest::collection::vec((0u32..10, 0u64..4_096, 0u64..2_048), 1..400),
+    ) {
+        let n = EventQueue::<usize>::WHEEL_CYCLES as u64;
+        let mut q = EventQueue::new();
+        let mut model = ModelQueue::default();
+        let mut batch = Vec::new();
+        // Latest popped cycle: pushes are placed relative to it.
+        let mut now = 0u64;
+        for (i, &(kind, raw, offset)) in ops.iter().enumerate() {
+            match kind {
+                0..=5 => {
+                    let at = match kind {
+                        // In the window, a few cycles past the last pop,
+                        // with same-cycle ties.
+                        0 | 1 => now + raw % 48,
+                        // Anywhere in the window.
+                        2 => now + raw % n,
+                        // Astride the window's end.
+                        3 => now + n - 64 + raw % 128,
+                        // Overflow range: one to four windows out.
+                        4 => now + n + raw % (3 * n),
+                        // Behind the cursor.
+                        _ => now - (1 + raw % 16).min(now),
+                    };
+                    q.push(Cycle::new(at), i);
+                    model.push(at, i);
+                }
+                6 => {
+                    let want = model.pop();
+                    prop_assert_eq!(
+                        q.pop().map(|(t, p)| (t.as_u64(), p)),
+                        want,
+                        "pop diverged at op {}", i
+                    );
+                    now = now.max(want.map_or(0, |(t, _)| t));
+                }
+                // A bound from 1 024 cycles below the earliest cycle to
+                // 1 023 above it.
+                _ => {
+                    let min = model.peek_time();
+                    let pivot = min.unwrap_or(now) + offset;
+                    let below = pivot - n.min(pivot);
+                    let (len, peek) = (q.len(), q.peek_time());
+                    let got = q.pop_cycle(Cycle::new(below), &mut batch);
+                    match min.filter(|&m| m < below) {
+                        Some(m) => {
+                            let mut want = Vec::new();
+                            while model.peek_time() == Some(m) {
+                                want.push(model.pop().expect("peeked").1);
+                            }
+                            prop_assert_eq!(got, Some(Cycle::new(m)), "cycle at op {}", i);
+                            prop_assert_eq!(&batch, &want, "batch diverged at op {}", i);
+                            now = now.max(m);
+                        }
+                        None => {
+                            prop_assert_eq!(got, None, "popped at or past {} at op {}", below, i);
+                            prop_assert!(batch.is_empty());
+                            prop_assert_eq!(q.len(), len, "refusal changed len at op {}", i);
+                            prop_assert_eq!(q.peek_time(), peek, "refusal moved peek at op {}", i);
+                        }
+                    }
+                    batch.clear();
+                }
+            }
+            check_step(&mut q, &mut model, "op")?;
+        }
+        // Drain by whole cycles; the order must still match.
+        while let Some(t) = q.pop_cycle(Cycle::new(u64::MAX), &mut batch) {
+            for p in batch.drain(..) {
+                prop_assert_eq!(Some((t.as_u64(), p)), model.pop(), "drain diverged");
+            }
+        }
+        prop_assert_eq!(model.pop(), None);
     }
 
     /// `clear` resets to a state indistinguishable from a fresh queue.

@@ -18,12 +18,17 @@
 //! clamped), and in clusters that force same-cycle ties from multiple
 //! source components. Shard count and component-to-shard assignment are
 //! also generated, so every program is checked across several
-//! decompositions against the one reference schedule.
+//! decompositions against the one reference schedule. Each program is
+//! also cut at a generated cycle on every decomposition, as a warm-start
+//! checkpoint cuts a run: the drained calendars must agree, and resuming
+//! from one must finish the reference schedule.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use bc_sim::shard::{CompId, Outbox, ShardEngine, ShardHandler, ShardOrderViolation, ShardSpec};
+use bc_sim::shard::{
+    CompId, Outbox, PendingEvent, ShardEngine, ShardHandler, ShardOrderViolation, ShardSpec,
+};
 use bc_sim::Cycle;
 use proptest::prelude::*;
 
@@ -83,14 +88,17 @@ struct Observed {
     dispatched: u64,
 }
 
+/// A pending reference event: `(at, dst, src, seq, payload)`, reversed
+/// into a min-heap.
+type RefEvent = Reverse<(u64, usize, usize, u64, u64)>;
+
 /// The independently written single-queue reference: one min-heap over
 /// `(cycle, dst component, src component, per-source seq)`. Projected
 /// onto any single component that order is `(cycle, src, seq)` — the
 /// sharded engine's documented batch order — while the `dst` tiebreak
 /// mirrors the engine's ascending-component scan within a cycle.
 fn reference_run(components: usize, lookahead: u64, seeds: &[(CompId, u64, u64)]) -> Observed {
-    // (at, dst, src, seq, payload)
-    let mut heap: BinaryHeap<Reverse<(u64, usize, usize, u64, u64)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<RefEvent> = BinaryHeap::new();
     let mut seqs = vec![0u64; components];
     for &(comp, at, payload) in seeds {
         let seq = seqs[comp];
@@ -158,27 +166,40 @@ impl ShardHandler<u64> for Player {
     }
 }
 
-/// Runs the same program through the sharded engine under `spec`.
-fn sharded_run(spec: ShardSpec, seeds: &[(CompId, u64, u64)]) -> Observed {
-    let components = spec.components;
-    let shards = spec.shards;
-    let mut engine = ShardEngine::new(spec);
-    for &(comp, at, payload) in seeds {
-        engine.seed(comp, Cycle::new(at), payload);
-    }
-    let mut handlers: Vec<Player> = (0..shards)
+/// One handler per shard of `spec`.
+fn players(spec: &ShardSpec) -> Vec<Player> {
+    (0..spec.shards)
         .map(|_| Player {
-            components,
+            components: spec.components,
             trace: Vec::new(),
         })
-        .collect();
-    let run = engine.run(&mut handlers);
-    let mut traces = vec![Vec::new(); components];
+        .collect()
+}
+
+/// Appends each handler's dispatches to its component's trace.
+fn collect_traces(handlers: Vec<Player>, traces: &mut [Vec<(u64, u64)>]) {
     for h in handlers {
         for (comp, at, payload) in h.trace {
             traces[comp].push((at, payload));
         }
     }
+}
+
+/// An engine for `spec` with the program's seed events.
+fn seeded(spec: ShardSpec, seeds: &[(CompId, u64, u64)]) -> ShardEngine<u64> {
+    let mut engine = ShardEngine::new(spec);
+    for &(comp, at, payload) in seeds {
+        engine.seed(comp, Cycle::new(at), payload);
+    }
+    engine
+}
+
+/// Runs the same program through the sharded engine under `spec`.
+fn sharded_run(spec: ShardSpec, seeds: &[(CompId, u64, u64)]) -> Observed {
+    let mut handlers = players(&spec);
+    let mut traces = vec![Vec::new(); spec.components];
+    let run = seeded(spec, seeds).run(&mut handlers);
+    collect_traces(handlers, &mut traces);
     Observed {
         traces,
         violations: run.violations,
@@ -186,17 +207,48 @@ fn sharded_run(spec: ShardSpec, seeds: &[(CompId, u64, u64)]) -> Observed {
     }
 }
 
-/// Strategy for one program: component count, lookahead, seed events and
-/// raw bytes that pick the shard assignments.
-fn program() -> impl Strategy<
-    Value = (
-        usize,                  // components
-        u64,                    // lookahead
-        Vec<(usize, u64, u64)>, // seeds (raw comp, cycle, payload)
-        Vec<u8>,                // raw assignment bytes
-        usize,                  // raw shard count
-    ),
-> {
+/// What a warm-start cut captures: the drained pending calendar and the
+/// per-component sequence counters.
+type Cut = (Vec<PendingEvent<u64>>, Vec<u64>);
+
+/// Runs the program under `spec` up to `cut`, drains the engine as a
+/// checkpoint would, restores the drain into a fresh engine and runs
+/// that to completion. Returns the cut state and what both halves
+/// observed together.
+fn cut_run(spec: ShardSpec, seeds: &[(CompId, u64, u64)], cut: u64) -> (Cut, Observed) {
+    let mut traces = vec![Vec::new(); spec.components];
+    let mut first = seeded(spec.clone(), seeds);
+    let mut handlers = players(&spec);
+    let before = first.run_until(&mut handlers, Cycle::new(cut));
+    collect_traces(handlers, &mut traces);
+    let pending = first.drain_pending();
+    let seqs = first.out_seqs();
+
+    let mut resumed = ShardEngine::new(spec.clone());
+    resumed.restore_pending(pending.clone());
+    resumed.set_out_seqs(&seqs);
+    let mut handlers = players(&spec);
+    let after = resumed.run(&mut handlers);
+    collect_traces(handlers, &mut traces);
+
+    let mut violations = before.violations;
+    violations.extend(after.violations);
+    violations.sort_by_key(|v| (v.now, v.src, v.seq));
+    let observed = Observed {
+        traces,
+        violations,
+        dispatched: before.dispatched + after.dispatched,
+    };
+    ((pending, seqs), observed)
+}
+
+/// A program: component count, lookahead, seed events (raw comp, cycle,
+/// payload), raw bytes that pick the shard assignments, and a raw shard
+/// count.
+type Program = (usize, u64, Vec<(usize, u64, u64)>, Vec<u8>, usize);
+
+/// Strategy for one program.
+fn program() -> impl Strategy<Value = Program> {
     (
         2usize..6,
         1u64..7,
@@ -204,6 +256,42 @@ fn program() -> impl Strategy<
         proptest::collection::vec(0u8..8, 8..9),
         1usize..5,
     )
+}
+
+/// The program's seed events, with components taken modulo the count.
+fn seeds_of(components: usize, raw_seeds: &[(usize, u64, u64)]) -> Vec<(CompId, u64, u64)> {
+    raw_seeds
+        .iter()
+        .map(|&(c, at, p)| (c % components, at, p))
+        .collect()
+}
+
+/// The three decompositions every program is checked on: the
+/// single-shard engine, an arbitrary assignment onto a generated shard
+/// count, and one component per shard.
+fn decompositions(
+    components: usize,
+    lookahead: u64,
+    raw_assign: &[u8],
+    raw_shards: usize,
+) -> [ShardSpec; 3] {
+    let shards = raw_shards.min(components);
+    let spec = |shards, assignment| ShardSpec {
+        components,
+        shards,
+        assignment,
+        lookahead,
+    };
+    [
+        spec(1, vec![0; components]),
+        spec(
+            shards,
+            (0..components)
+                .map(|c| raw_assign[c] as usize % shards)
+                .collect(),
+        ),
+        spec(components, (0..components).collect()),
+    ]
 }
 
 proptest! {
@@ -218,38 +306,54 @@ proptest! {
     fn sharded_engine_matches_single_queue_reference(
         (components, lookahead, raw_seeds, raw_assign, raw_shards) in program()
     ) {
-        let seeds: Vec<(CompId, u64, u64)> = raw_seeds
-            .iter()
-            .map(|&(c, at, p)| (c % components, at, p))
-            .collect();
+        let seeds = seeds_of(components, &raw_seeds);
         let want = reference_run(components, lookahead, &seeds);
         prop_assert!(want.dispatched >= seeds.len() as u64);
-
-        let shards = raw_shards.min(components);
-        let decompositions: [(usize, Vec<usize>); 3] = [
-            // Serial: the degenerate single-shard engine.
-            (1, vec![0; components]),
-            // Generated: arbitrary assignment onto `shards` threads.
-            (
-                shards,
-                (0..components).map(|c| raw_assign[c] as usize % shards).collect(),
-            ),
-            // Fully decomposed: every component on its own shard.
-            (components, (0..components).collect()),
-        ];
-        for (shards, assignment) in decompositions {
-            let spec = ShardSpec {
-                components,
-                shards,
-                assignment: assignment.clone(),
-                lookahead,
-            };
+        for spec in decompositions(components, lookahead, &raw_assign, raw_shards) {
+            let (shards, assignment) = (spec.shards, spec.assignment.clone());
             let got = sharded_run(spec, &seeds);
             prop_assert_eq!(
                 &got, &want,
                 "shards={} assignment={:?} diverged from the reference",
                 shards, assignment
             );
+        }
+    }
+
+    /// A warm-start cut is placement-free: `run_until(cut)` on the
+    /// single-shard, generated and fully decomposed engines leaves the
+    /// same drained calendar and the same sequence counters, and each,
+    /// restored into a fresh engine and run to completion, observes
+    /// exactly the reference's traces, violations and dispatch count.
+    /// Cuts fall before, inside and after each program's schedule.
+    #[test]
+    fn warm_start_cuts_match_on_every_decomposition(
+        (components, lookahead, raw_seeds, raw_assign, raw_shards) in program(),
+        cut in 0u64..120,
+    ) {
+        let seeds = seeds_of(components, &raw_seeds);
+        let want = reference_run(components, lookahead, &seeds);
+        let mut first_cut: Option<Cut> = None;
+        for spec in decompositions(components, lookahead, &raw_assign, raw_shards) {
+            let (shards, assignment) = (spec.shards, spec.assignment.clone());
+            let (state, got) = cut_run(spec, &seeds, cut);
+            prop_assert!(
+                state.0.iter().all(|p| p.at >= Cycle::new(cut)),
+                "an event below the cut stayed pending"
+            );
+            prop_assert_eq!(
+                &got, &want,
+                "shards={} assignment={:?} cut={} diverged from the reference",
+                shards, &assignment, cut
+            );
+            match &first_cut {
+                None => first_cut = Some(state),
+                Some(single) => prop_assert_eq!(
+                    &state, single,
+                    "shards={} assignment={:?} cut={} drained a different calendar",
+                    shards, &assignment, cut
+                ),
+            }
         }
     }
 
@@ -261,17 +365,8 @@ proptest! {
     fn violation_records_are_exact_and_ordered(
         (components, lookahead, raw_seeds, raw_assign, raw_shards) in program()
     ) {
-        let seeds: Vec<(CompId, u64, u64)> = raw_seeds
-            .iter()
-            .map(|&(c, at, p)| (c % components, at, p))
-            .collect();
-        let shards = raw_shards.min(components);
-        let spec = ShardSpec {
-            components,
-            shards,
-            assignment: (0..components).map(|c| raw_assign[c] as usize % shards).collect(),
-            lookahead,
-        };
+        let seeds = seeds_of(components, &raw_seeds);
+        let [_, spec, _] = decompositions(components, lookahead, &raw_assign, raw_shards);
         let got = sharded_run(spec, &seeds);
         for v in &got.violations {
             let floor = if v.dst == v.src { v.now + 1 } else { v.now + lookahead };

@@ -1461,16 +1461,17 @@ impl Backend {
 }
 
 /// One shard's slice of the machine: at most one worker owns the
-/// backend; each owns the frontends assigned to its shard.
+/// backend; each owns the frontends assigned to its shard, found by
+/// component id (`fronts[i]` is frontend `i` when this worker owns it).
 struct Worker<'a> {
     back: Option<&'a mut Backend>,
-    fronts: Vec<(usize, &'a mut Frontend)>,
+    fronts: Vec<Option<&'a mut Frontend>>,
 }
 
 impl ShardHandler<Event> for Worker<'_> {
     fn handle(&mut self, comp: CompId, now: Cycle, ev: Event, out: &mut Outbox<'_, Event>) {
-        match self.fronts.iter_mut().find(|(id, _)| *id == comp) {
-            Some((_, f)) => f.handle(now, ev, out),
+        match self.fronts.get_mut(comp).and_then(Option::as_mut) {
+            Some(f) => f.handle(now, ev, out),
             None => {
                 let back = self
                     .back
@@ -1792,15 +1793,16 @@ impl System {
         assignment: &[usize],
         until: Option<Cycle>,
     ) -> bc_sim::shard::ShardRun {
+        let n = self.frontends.len();
         let mut workers: Vec<Worker<'_>> = (0..shards)
             .map(|_| Worker {
                 back: None,
-                fronts: Vec::new(),
+                fronts: (0..n).map(|_| None).collect(),
             })
             .collect();
         workers[0].back = Some(&mut self.back);
         for (i, f) in self.frontends.iter_mut().enumerate() {
-            workers[assignment[i]].fronts.push((i, f));
+            workers[assignment[i]].fronts[i] = Some(f);
         }
         match until {
             Some(cut) => engine.run_until(&mut workers, cut),

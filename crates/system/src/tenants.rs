@@ -822,15 +822,16 @@ impl HostBackend {
 
 /// Shard worker: owns the backend (shard 0) or a set of accel issue
 /// engines, mirroring the single-tenant `System::run` decomposition.
+/// `accels[i]` is accelerator `i` when this worker owns it.
 struct TenantWorker<'a> {
     back: Option<&'a mut HostBackend>,
-    accels: Vec<(usize, &'a mut AccelComp)>,
+    accels: Vec<Option<&'a mut AccelComp>>,
 }
 
 impl ShardHandler<TEvent> for TenantWorker<'_> {
     fn handle(&mut self, comp: CompId, now: Cycle, ev: TEvent, out: &mut Outbox<'_, TEvent>) {
-        match self.accels.iter_mut().find(|(id, _)| *id == comp) {
-            Some((_, a)) => a.handle(now, ev, out),
+        match self.accels.get_mut(comp).and_then(Option::as_mut) {
+            Some(a) => a.handle(now, ev, out),
             None => {
                 let back = self
                     .back
@@ -1009,15 +1010,16 @@ impl MultiTenantSystem {
             );
         }
         let run = {
+            let n = self.accels.len();
             let mut workers: Vec<TenantWorker<'_>> = (0..shards)
                 .map(|_| TenantWorker {
                     back: None,
-                    accels: Vec::new(),
+                    accels: (0..n).map(|_| None).collect(),
                 })
                 .collect();
             workers[0].back = Some(&mut self.back);
             for (i, a) in self.accels.iter_mut().enumerate() {
-                workers[assignment[i]].accels.push((i, a));
+                workers[assignment[i]].accels[i] = Some(a);
             }
             engine.run(&mut workers)
         };
@@ -1240,11 +1242,7 @@ mod tests {
         let r = MultiTenantSystem::build(&cfg).expect("build").run();
         assert!(r.killed > 0, "no malicious tenant got caught: {r:?}");
         assert_eq!(r.completed + r.killed, 10, "a tenant vanished");
-        assert_eq!(
-            r.probes.1,
-            r.violations - 0,
-            "all violations come from probes"
-        );
+        assert_eq!(r.probes.1, r.violations, "all violations come from probes");
         assert!(r.kill_p50 > 0, "kill latency must be visible");
         assert!(r.audit_clean(), "{r:?}");
     }

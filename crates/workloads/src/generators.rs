@@ -43,11 +43,21 @@ fn write(offset: u64) -> BlockAccess {
 }
 
 /// Splits `total` items into a contiguous `[start, end)` slice for
-/// wavefront `wf` of `n`.
+/// wavefront `wf` of `n`. With at least one item per wavefront, the last
+/// wavefront also takes the remainder. With more wavefronts than items,
+/// wavefront `i < total` takes item `i` and every other wavefront an
+/// empty slice, for which each generator yields no op.
 fn slice_of(total: u64, wf: u32, n: u32) -> (u64, u64) {
     let n = n.max(1) as u64;
     let wf = wf as u64 % n;
     let per = total / n;
+    if per == 0 {
+        return if wf < total {
+            (wf, wf + 1)
+        } else {
+            (total, total)
+        };
+    }
     let start = wf * per;
     let end = if wf == n - 1 { total } else { start + per };
     (start, end)
@@ -122,7 +132,7 @@ pub mod backprop {
         fn next_op(&mut self) -> Option<WarpOp> {
             // Two passes: forward (read-dominated) and backward (updates).
             if self.cur >= self.end {
-                if self.pass >= 1 {
+                if self.pass >= 1 || self.start == self.end {
                     return None;
                 }
                 self.pass += 1;
@@ -332,7 +342,7 @@ pub mod hotspot {
         fn next_op(&mut self) -> Option<WarpOp> {
             if self.row >= self.row_end {
                 self.iter += 1;
-                if self.iter >= self.w.iterations {
+                if self.iter >= self.w.iterations || self.row_start == self.row_end {
                     return None;
                 }
                 self.row = self.row_start;
@@ -702,7 +712,7 @@ pub mod pathfinder {
             if self.col >= self.c_end {
                 self.row += 1;
                 self.col = self.c_start;
-                if self.row >= self.w.rows {
+                if self.row >= self.w.rows || self.c_start == self.c_end {
                     return None;
                 }
             }
@@ -732,17 +742,73 @@ mod tests {
 
     #[test]
     fn slice_partitions_cover_everything() {
-        let total = 103u64;
-        let n = 8u32;
-        let mut covered = 0;
-        for wf in 0..n {
-            let (s, e) = slice_of(total, wf, n);
-            assert!(s <= e);
-            covered += e - s;
+        // Fewer, equal and more wavefronts than items: every item lies in
+        // exactly one wavefront's slice.
+        for (total, n) in [(103u64, 8u32), (8, 8), (5, 8), (1, 3), (128, 200), (0, 4)] {
+            let mut hits = vec![0u32; total as usize];
+            for wf in 0..n {
+                let (s, e) = slice_of(total, wf, n);
+                assert!(
+                    s <= e && e <= total,
+                    "{total} over {n}: wf {wf} got {s}..{e}"
+                );
+                for item in s..e {
+                    hits[item as usize] += 1;
+                }
+            }
+            assert!(hits.iter().all(|&h| h == 1), "{total} over {n}: {hits:?}");
         }
-        assert_eq!(covered, total);
-        // Last wavefront absorbs the remainder.
-        assert_eq!(slice_of(total, n - 1, n).1, total);
+        // At least one item each: the last wavefront absorbs the remainder.
+        assert_eq!(slice_of(103, 7, 8), (84, 103));
+        // More wavefronts than items: one item each, then empty slices.
+        assert_eq!(slice_of(5, 4, 8), (4, 5));
+        assert_eq!(slice_of(5, 7, 8), (5, 5));
+    }
+
+    #[test]
+    fn empty_slices_yield_no_ops() {
+        // Tiny sizes, more wavefronts than each generator's slice items.
+        let n = 1 << 16;
+        let workloads: [Box<dyn Workload>; 4] = [
+            Box::new(backprop::Backprop::new(WorkloadSize::Tiny)),
+            Box::new(hotspot::Hotspot::new(WorkloadSize::Tiny)),
+            Box::new(nn::Nn::new(WorkloadSize::Tiny)),
+            Box::new(pathfinder::Pathfinder::new(WorkloadSize::Tiny)),
+        ];
+        for w in &workloads {
+            let mut s = w.make_stream(n - 1, n, 0);
+            assert!(s.next_op().is_none(), "{} issued an op", w.name());
+            assert!(s.next_op().is_none(), "{} woke up", w.name());
+        }
+    }
+
+    #[test]
+    fn many_wavefront_pathfinder_stays_in_its_slice() {
+        let w = pathfinder::Pathfinder::new(WorkloadSize::Tiny);
+        let row_bytes = 16 << 10;
+        let cols = row_bytes / BLOCK;
+        let rows = w.footprint_bytes() / row_bytes - 2;
+        let n = 200u32;
+        let mut ops = 0;
+        for wf in 0..n {
+            let (s, e) = slice_of(cols, wf, n);
+            let mut stream = w.make_stream(wf, n, 0);
+            let mut mine = 0;
+            while let Some(op) = stream.next_op() {
+                // The first block is the wall read at (row, column).
+                let wall = op.blocks.as_slice()[0].va.as_u64() - BASE_VA;
+                let col = wall % row_bytes / BLOCK;
+                assert!(
+                    (s..e).contains(&col),
+                    "wf {wf} read column {col} outside {s}..{e}"
+                );
+                mine += 1;
+            }
+            // Rows 1.. of the grid, each op issued twice.
+            assert_eq!(mine, (rows - 1) * (e - s) * 2, "wf {wf}");
+            ops += mine;
+        }
+        assert_eq!(ops, (rows - 1) * cols * 2, "every column once");
     }
 
     #[test]
