@@ -9,7 +9,7 @@ use bc_mem::addr::Ppn;
 use bc_mem::perms::PagePerms;
 use bc_sim::stats::HitMiss;
 
-use crate::table::PAGES_PER_BLOCK;
+use crate::table::{BLOCK_BYTES, PAGES_PER_BLOCK};
 
 /// BCC geometry.
 ///
@@ -90,7 +90,7 @@ impl BccConfig {
 // bc-lint: allow-file(narrowing-cast) — BCC geometry: indices are masked
 // (set_mask) or bounded by PAGES_PER_BLOCK before conversion, and the
 // bool→u8 casts pack permission bits.
-const ENTRY_BITS_BYTES: usize = (PAGES_PER_BLOCK as usize * 2) / 8;
+const ENTRY_BITS_BYTES: usize = BLOCK_BYTES;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -197,7 +197,7 @@ impl Bcc {
     }
 
     /// Looks up one page's permissions; `None` is a BCC miss (the engine
-    /// then reads the Protection Table block and [`Bcc::fill`]s).
+    /// then reads the Protection Table block and [`Bcc::fill_bytes`]).
     pub fn lookup(&mut self, ppn: Ppn) -> Option<PagePerms> {
         self.clock += 1;
         let clock = self.clock;
@@ -232,9 +232,27 @@ impl Bcc {
     /// Fills the entry covering `ppn` from a Protection Table block (the
     /// 512-page granule returned by
     /// [`ProtectionTable::read_block`](crate::table::ProtectionTable::read_block)).
+    /// Packs the block into the table's 2-bit layout and fills from the
+    /// bytes with [`Bcc::fill_bytes`].
+    pub fn fill(&mut self, ppn: Ppn, block: &[PagePerms; 512]) {
+        let mut bytes = [0u8; BLOCK_BYTES];
+        for (i, perms) in block.iter().enumerate() {
+            let bits = (perms.readable() as u8) | ((perms.writable() as u8) << 1);
+            bytes[i / 4] |= bits << ((i % 4) * 2);
+        }
+        self.fill_bytes(ppn, &bytes);
+    }
+
+    /// Fills the entry covering `ppn` straight from the raw bytes of its
+    /// Protection Table block
+    /// ([`ProtectionTable::block_bytes`](crate::table::ProtectionTable::block_bytes)):
+    /// the entry's bits are the table's bits, so the fill copies the
+    /// entry's `pages_per_entry / 4` bytes from the entry's offset in the
+    /// block ("we fetch an entire block at a time", §3.1.2). With 1 or 2
+    /// pages per entry only the entry's 2-bit fields of byte 0 change.
     /// Evicts LRU on conflict. Eviction needs no writeback: the BCC is
     /// write-through.
-    pub fn fill(&mut self, ppn: Ppn, block: &[PagePerms; 512]) {
+    pub fn fill_bytes(&mut self, ppn: Ppn, block: &[u8; BLOCK_BYTES]) {
         self.clock += 1;
         let clock = self.clock;
         let ppe = self.config.pages_per_entry;
@@ -256,10 +274,15 @@ impl Bcc {
         entry.valid = true;
         entry.last_use = clock;
         // Position of this entry's group within the 512-page PT block.
-        let group_base = group * ppe;
-        let offset_in_block = group_base % PAGES_PER_BLOCK;
-        for i in 0..ppe {
-            entry.set_perms(i, block[(offset_in_block + i) as usize]);
+        let offset_in_block = (group * ppe) % PAGES_PER_BLOCK;
+        let first = (offset_in_block / 4) as usize;
+        if ppe >= 4 {
+            let len = (ppe / 4) as usize;
+            entry.bits[..len].copy_from_slice(&block[first..first + len]);
+        } else {
+            let mask = (1u8 << (ppe * 2)) - 1;
+            let shift = (offset_in_block % 4) * 2;
+            entry.bits[0] = (entry.bits[0] & !mask) | ((block[first] >> shift) & mask);
         }
         if newly_valid {
             self.occupancy += 1;

@@ -334,8 +334,7 @@ impl BorderControl {
                         dram.read_block(t, block_addr);
                         filled_from = Some(block_addr);
                     }
-                    let block = table.read_block(store, ppn);
-                    bcc.fill(ppn, &block);
+                    bcc.fill_bytes(ppn, &table.block_bytes(store, ppn));
                 }
             }
         }
@@ -392,8 +391,7 @@ impl BorderControl {
                     pt_accessed = true;
                     self.pt_reads.inc();
                     t = dram.read_block(t, table.block_addr(req.ppn));
-                    let block = table.read_block(store, req.ppn);
-                    bcc.fill(req.ppn, &block);
+                    bcc.fill_bytes(req.ppn, &table.block_bytes(store, req.ppn));
                     table.lookup(store, req.ppn)
                 }
             }

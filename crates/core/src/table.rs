@@ -13,6 +13,10 @@ use bc_mem::store::PhysMemStore;
 /// subblocking factor that gives the BCC its reach).
 pub const PAGES_PER_BLOCK: u64 = BLOCK_SIZE * 4;
 
+/// Bytes in one table block (the BCC fill granule).
+// bc-lint: allow(narrowing-cast) — const BLOCK_SIZE (128) fits usize.
+pub const BLOCK_BYTES: usize = BLOCK_SIZE as usize;
+
 /// A per-accelerator Protection Table.
 ///
 /// The table is *physically indexed* — "lookups are done by physical
@@ -175,24 +179,45 @@ impl ProtectionTable {
         Self::storage_bytes(self.bounds_pages).div_ceil(bc_mem::BLOCK_SIZE)
     }
 
+    /// Reads the raw 128 bytes of the table block containing `ppn` — the
+    /// BCC fill granule, in the table's own layout: page `ppn_in_block`
+    /// holds bits `2 * (ppn_in_block % 4)` (R) and the one above (W) of
+    /// byte `ppn_in_block / 4`. Bits of pages past the bounds register
+    /// read as zero, so an out-of-bounds page never enters the BCC with
+    /// permissions.
+    #[must_use]
+    pub fn block_bytes(&self, store: &PhysMemStore, ppn: Ppn) -> [u8; BLOCK_BYTES] {
+        let mut bytes = [0u8; BLOCK_BYTES];
+        store.read_into(self.block_addr(ppn), &mut bytes);
+        let block_base = ppn.as_u64() - ppn.as_u64() % PAGES_PER_BLOCK;
+        if self.bounds_pages < block_base + PAGES_PER_BLOCK {
+            // Pages of this block inside the bounds (none if the block
+            // starts past them).
+            let live = self.bounds_pages.max(block_base) - block_base;
+            // bc-lint: allow(narrowing-cast) — live < 512 here.
+            let whole = (live / 4) as usize;
+            let partial = live % 4;
+            let cleared = if partial == 0 {
+                whole
+            } else {
+                bytes[whole] &= (1u8 << (partial * 2)) - 1;
+                whole + 1
+            };
+            bytes[cleared..].fill(0);
+        }
+        bytes
+    }
+
     /// Reads the 512 page-permission pairs of the table block containing
-    /// `ppn` (the BCC fill granule). Returned indexed by
-    /// `ppn_in_block = ppn % 512`.
+    /// `ppn`, indexed by `ppn_in_block = ppn % 512`: a decoder of
+    /// [`ProtectionTable::block_bytes`] for callers that want perms rather
+    /// than the table's bit layout.
     #[must_use]
     pub fn read_block(&self, store: &PhysMemStore, ppn: Ppn) -> [PagePerms; 512] {
-        let block_base_ppn = Ppn::new(ppn.as_u64() - (ppn.as_u64() % PAGES_PER_BLOCK));
-        // bc-lint: allow(narrowing-cast) — const BLOCK_SIZE fits usize.
-        let mut bytes = [0u8; bc_mem::BLOCK_SIZE as usize];
-        store.read_into(self.block_addr(ppn), &mut bytes);
+        let bytes = self.block_bytes(store, ppn);
         let mut out = [PagePerms::NONE; 512];
         for (i, slot) in out.iter_mut().enumerate() {
-            let p = block_base_ppn.add(i as u64);
-            if !self.in_bounds(p) {
-                continue;
-            }
-            let byte = bytes[i / 4];
-            let shift = (i % 4) * 2;
-            let bits = (byte >> shift) & 0b11;
+            let bits = (bytes[i / 4] >> ((i % 4) * 2)) & 0b11;
             *slot = PagePerms::new(bits & 0b01 != 0, bits & 0b10 != 0, false);
         }
         out

@@ -249,10 +249,12 @@ pub fn enabled_events(s: &SchedState) -> Vec<SchedEvent> {
 /// and the actions the machine must execute. Returns `None` when the
 /// event is not enabled in `s` (a stale or malformed occurrence — the
 /// system treats that as a protocol error, the checker simply never
-/// generates it).
+/// generates it). Pure: `s` is left as it was, whatever `ev` is.
 #[must_use]
 pub fn step(s: &SchedState, ev: SchedEvent) -> Option<(SchedState, Vec<SchedAction>)> {
-    step_impl(s, ev, false)
+    let mut n = s.clone();
+    let actions = transition(&mut n, ev, false)?;
+    Some((n, actions))
 }
 
 /// The seeded-bug variant used by `bc-check`'s negative tests: binds the
@@ -264,15 +266,21 @@ pub fn step_bind_before_scrub(
     s: &SchedState,
     ev: SchedEvent,
 ) -> Option<(SchedState, Vec<SchedAction>)> {
-    step_impl(s, ev, true)
+    let mut n = s.clone();
+    let actions = transition(&mut n, ev, true)?;
+    Some((n, actions))
 }
 
-fn step_impl(
-    s: &SchedState,
+/// The one transition body, run on the state in place: [`step`] runs it
+/// on a clone, [`Scheduler::apply`] on its own state. Every check comes
+/// before the first change, so an event that is not enabled returns
+/// `None` with `n` untouched. (The seeded bug's extra bind can still fail
+/// half-way on a malformed queue, but it only runs on `step`'s clone.)
+fn transition(
+    n: &mut SchedState,
     ev: SchedEvent,
     bind_before_scrub: bool,
-) -> Option<(SchedState, Vec<SchedAction>)> {
-    let mut n = s.clone();
+) -> Option<Vec<SchedAction>> {
     let mut actions = Vec::new();
     match ev {
         SchedEvent::Dispatch { accel } => {
@@ -280,16 +288,17 @@ fn step_impl(
             if slot.bound.is_some() || slot.residue {
                 return None;
             }
-            let tenant = n.queue.pop_front()?;
+            let tenant = *n.queue.front()?;
             if !matches!(n.tenants.get(tenant), Some(TenantPhase::Ready)) {
                 return None;
             }
+            n.queue.pop_front();
             *n.tenants.get_mut(tenant)? = TenantPhase::Running(accel);
             n.accels.get_mut(accel)?.bound = Some(tenant);
             actions.push(SchedAction::Bind { accel, tenant });
         }
         SchedEvent::QuantumExpired { accel } => {
-            let tenant = begin_drain(&mut n, accel, DrainReason::Preempt)?;
+            let tenant = begin_drain(n, accel, DrainReason::Preempt)?;
             actions.push(SchedAction::Drain {
                 accel,
                 tenant,
@@ -297,7 +306,7 @@ fn step_impl(
             });
         }
         SchedEvent::JobDone { accel } => {
-            let tenant = begin_drain(&mut n, accel, DrainReason::Complete)?;
+            let tenant = begin_drain(n, accel, DrainReason::Complete)?;
             actions.push(SchedAction::Drain {
                 accel,
                 tenant,
@@ -308,7 +317,7 @@ fn step_impl(
             // The kernel kills the process immediately (frames are
             // quarantined); the accelerator still drains + scrubs before
             // anything of the tenant's can be reused.
-            let tenant = begin_drain(&mut n, accel, DrainReason::Kill)?;
+            let tenant = begin_drain(n, accel, DrainReason::Kill)?;
             actions.push(SchedAction::Kill { tenant });
             actions.push(SchedAction::Drain {
                 accel,
@@ -378,7 +387,7 @@ fn step_impl(
             }
         }
     }
-    Some((n, actions))
+    Some(actions)
 }
 
 /// Shared Running → Draining transition; returns the drained tenant.
@@ -543,16 +552,15 @@ impl Scheduler {
         self.state.is_terminal()
     }
 
-    /// Applies one event, returning the actions to execute.
+    /// Applies one event in place, returning the actions to execute:
+    /// the same transition as [`step`], without copying the state.
     ///
     /// # Panics
     ///
     /// Panics if `ev` is not enabled — the caller fed a stale event.
     pub fn apply(&mut self, ev: SchedEvent) -> Vec<SchedAction> {
-        let (next, actions) =
-            step(&self.state, ev).unwrap_or_else(|| panic!("scheduler protocol error: {ev:?}"));
-        self.state = next;
-        actions
+        transition(&mut self.state, ev, false)
+            .unwrap_or_else(|| panic!("scheduler protocol error: {ev:?}"))
     }
 
     /// Dispatches tenants onto every idle, scrubbed accelerator (start
@@ -737,6 +745,37 @@ mod tests {
         sched.apply(SchedEvent::DrainComplete { accel: 0 });
         sched.apply(SchedEvent::TeardownComplete { accel: 0 });
         assert!(sched.is_terminal());
+    }
+
+    #[test]
+    fn disabled_events_leave_the_state_untouched() {
+        // Walk a lifecycle with preemptions and kills; at every state, a
+        // disabled event run in place returns `None` and changes nothing.
+        let mut s = SchedState::new(3, 2);
+        for i in 0..200 {
+            let enabled = enabled_events(&s);
+            for accel in 0..3 {
+                for ev in [
+                    SchedEvent::Dispatch { accel },
+                    SchedEvent::QuantumExpired { accel },
+                    SchedEvent::JobDone { accel },
+                    SchedEvent::Violation { accel },
+                    SchedEvent::DrainComplete { accel },
+                    SchedEvent::TeardownComplete { accel },
+                ] {
+                    if enabled.contains(&ev) {
+                        continue;
+                    }
+                    let mut n = s.clone();
+                    assert_eq!(transition(&mut n, ev, false), None, "{ev:?}");
+                    assert_eq!(n, s, "{ev:?} changed the state");
+                }
+            }
+            let Some(&ev) = enabled.get(i % enabled.len().max(1)) else {
+                break;
+            };
+            s = step(&s, ev).expect("enabled event steps").0;
+        }
     }
 
     #[test]

@@ -168,6 +168,9 @@ impl fmt::Display for HitMiss {
     }
 }
 
+/// Buckets of a [`Histogram`]: one per power of two of a `u64`.
+const HISTOGRAM_BUCKETS: usize = 64;
+
 /// A power-of-two bucketed histogram for latency-like quantities.
 ///
 /// Values are recorded into buckets `[2^k, 2^(k+1))`; this keeps the
@@ -188,7 +191,8 @@ impl fmt::Display for HitMiss {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    buckets: Vec<u64>,
+    /// Inline, so recording touches no second allocation.
+    buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
     sum: u64,
     min: u64,
@@ -200,7 +204,7 @@ impl Histogram {
     #[must_use]
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; 64],
+            buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -210,9 +214,9 @@ impl Histogram {
 
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
-        let bucket = 64 - value.leading_zeros().min(63) as usize - 1;
-        // value 0 lands in bucket 0 alongside 1.
-        let bucket = if value == 0 { 0 } else { bucket };
+        // Bucket k holds [2^k, 2^(k+1)); value 0 lands in bucket 0
+        // alongside 1.
+        let bucket = 63 - (value | 1).leading_zeros() as usize;
         self.buckets[bucket] += 1;
         self.count += 1;
         self.sum += value;
@@ -324,9 +328,15 @@ impl crate::snapshot::Snap for HitMiss {
     }
 }
 
+/// Snapshot codec. The buckets are written as a length-prefixed sequence
+/// of 64 (the `Vec<u64>` encoding); a length other than 64 is refused
+/// before any bucket is read.
 impl crate::snapshot::Snap for Histogram {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.snap(&self.buckets);
+        w.usize(HISTOGRAM_BUCKETS);
+        for &n in &self.buckets {
+            w.u64(n);
+        }
         w.u64(self.count);
         w.u64(self.sum);
         // `min` uses u64::MAX as the "empty" sentinel; store it verbatim
@@ -335,9 +345,12 @@ impl crate::snapshot::Snap for Histogram {
         w.u64(self.max);
     }
     fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let buckets: Vec<u64> = r.snap()?;
-        if buckets.len() != 64 {
+        if r.usize()? != HISTOGRAM_BUCKETS {
             return Err(crate::snapshot::SnapError::BadValue("histogram buckets"));
+        }
+        let mut buckets = [0; HISTOGRAM_BUCKETS];
+        for n in &mut buckets {
+            *n = r.u64()?;
         }
         Ok(Histogram {
             buckets,
@@ -511,6 +524,60 @@ mod tests {
         assert!(p50 <= p90 && p90 <= p99);
         assert!((256..=512).contains(&p50), "p50 bucket was {p50}");
         assert!(!h.to_string().is_empty());
+    }
+
+    #[test]
+    fn histogram_snapshot_bytes_keep_the_vec_encoding() {
+        use crate::snapshot::{Snap, SnapReader, SnapWriter};
+        let mut h = Histogram::new();
+        for v in [0, 1, 2, 3, 100, 4096, 1 << 40] {
+            h.record(v);
+        }
+        let mut w = SnapWriter::new();
+        h.save(&mut w);
+        let bytes = w.into_bytes();
+        // The encoding of the heap layout: a `Vec<u64>` of 64 buckets,
+        // then count, sum, min and max.
+        let mut expected = SnapWriter::new();
+        expected.snap(&h.buckets.to_vec());
+        for v in [h.count, h.sum, h.min, h.max] {
+            expected.u64(v);
+        }
+        assert_eq!(bytes, expected.into_bytes());
+        let mut r = SnapReader::new(&bytes);
+        let back = Histogram::load(&mut r).expect("round trip");
+        r.finish().expect("no trailing bytes");
+        assert_eq!(back.buckets, h.buckets);
+        assert_eq!(
+            (back.count, back.sum, back.min, back.max),
+            (h.count, h.sum, h.min, h.max)
+        );
+        // An empty histogram keeps its `min` sentinel through the codec.
+        let mut w = SnapWriter::new();
+        Histogram::new().save(&mut w);
+        let bytes = w.into_bytes();
+        let empty = Histogram::load(&mut SnapReader::new(&bytes)).expect("empty round trip");
+        assert_eq!(empty.min, u64::MAX);
+    }
+
+    #[test]
+    fn histogram_decoder_rejects_other_bucket_counts() {
+        use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+        // 2^40 buckets would be 8 TiB: the length must be refused before
+        // anything is allocated or read for it.
+        for len in [0usize, 63, 65, 1 << 40] {
+            let mut w = SnapWriter::new();
+            w.usize(len);
+            for _ in 0..len.min(65) + 4 {
+                w.u64(7);
+            }
+            let bytes = w.into_bytes();
+            assert_eq!(
+                Histogram::load(&mut SnapReader::new(&bytes)).map(|_| ()),
+                Err(SnapError::BadValue("histogram buckets")),
+                "bucket count {len}"
+            );
+        }
     }
 
     #[test]
