@@ -398,219 +398,77 @@ impl Gpu {
 ///
 /// A [`Wavefront`]'s stream is a `Box<dyn AccessStream>` and cannot be
 /// serialized; instead the snapshot records how many ops the wavefront
-/// has consumed and the restore path re-opens the stream (through the
-/// same [`bc_workloads::StreamSource`] coordinate) and skips that many
-/// ops with [`AccessStream::skip`], which a compiled trace answers by
-/// seeking. The `StreamSource` determinism contract makes this
-/// byte-exact: the re-opened stream yields the same op sequence the
-/// original did.
+/// has consumed, and a restore skips the stream the build opened (at its
+/// start, through the same [`bc_workloads::StreamSource`] coordinate)
+/// that many ops with [`AccessStream::skip`], which a compiled trace
+/// answers by seeking. The `StreamSource` determinism contract makes
+/// this byte-exact: the built stream yields the same op sequence the
+/// original did. The config, the behavior and the shape (CU, wavefront,
+/// L1, TLB and L2 presence) come from the build.
 mod snapshot_support {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-    use bc_workloads::AccessStream;
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
     use super::{Behavior, ComputeUnit, Gpu, GpuConfig, Wavefront};
 
-    impl Snap for Behavior {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                Behavior::Correct => w.u8(0),
-                Behavior::BuggyStaleTlb => w.u8(1),
-                Behavior::Malicious {
-                    probe_period,
-                    probe_writes,
-                } => {
-                    w.u8(2);
-                    w.u64(*probe_period);
-                    w.bool(*probe_writes);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(Behavior::Correct),
-                1 => Ok(Behavior::BuggyStaleTlb),
-                2 => Ok(Behavior::Malicious {
-                    probe_period: r.u64()?,
-                    probe_writes: r.bool()?,
-                }),
-                _ => Err(SnapError::BadValue("accelerator behavior")),
-            }
-        }
-    }
+    bc_sim::snap_enum!(Behavior, "accelerator behavior",
+        0 => Correct, 1 => BuggyStaleTlb, 2 => Malicious { probe_period, probe_writes });
 
     impl Snap for GpuConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.usize(self.compute_units);
-            w.usize(self.wavefronts_per_cu);
-            w.bool(self.has_l1);
-            w.u64(self.l1_bytes);
-            w.usize(self.l1_ways);
-            w.u64(self.l1_latency);
-            w.bool(self.has_l2);
-            w.u64(self.l2_bytes);
-            w.usize(self.l2_ways);
-            w.u64(self.l2_latency);
-            w.bool(self.has_l1_tlb);
-            w.usize(self.l1_tlb_entries);
-            w.u64(self.trusted_distance_penalty);
-            w.u64(self.block_bytes);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(GpuConfig {
-                compute_units: r.usize()?,
-                wavefronts_per_cu: r.usize()?,
-                has_l1: r.bool()?,
-                l1_bytes: r.u64()?,
-                l1_ways: r.usize()?,
-                l1_latency: r.u64()?,
-                has_l2: r.bool()?,
-                l2_bytes: r.u64()?,
-                l2_ways: r.usize()?,
-                l2_latency: r.u64()?,
-                has_l1_tlb: r.bool()?,
-                l1_tlb_entries: r.usize()?,
-                trusted_distance_penalty: r.u64()?,
-                block_bytes: r.u64()?,
-            })
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.snap(&mut self.compute_units)?;
+            c.snap(&mut self.wavefronts_per_cu)?;
+            c.snap(&mut self.has_l1)?;
+            c.snap(&mut self.l1_bytes)?;
+            c.snap(&mut self.l1_ways)?;
+            c.snap(&mut self.l1_latency)?;
+            c.snap(&mut self.has_l2)?;
+            c.snap(&mut self.l2_bytes)?;
+            c.snap(&mut self.l2_ways)?;
+            c.snap(&mut self.l2_latency)?;
+            c.snap(&mut self.has_l1_tlb)?;
+            c.snap(&mut self.l1_tlb_entries)?;
+            c.snap(&mut self.trusted_distance_penalty)?;
+            c.snap(&mut self.block_bytes)
         }
     }
 
-    impl Wavefront {
-        pub(super) fn save_state(&self, w: &mut SnapWriter) {
-            w.snap(&self.ready_at);
-            w.bool(self.done);
-            w.u64(self.ops_issued);
-            w.snap(&self.in_flight);
-        }
-
-        /// Restores one wavefront onto a freshly opened `stream`, skipping
-        /// the ops the snapshot already consumed.
-        pub(super) fn restore_state(
-            mut stream: Box<dyn AccessStream>,
-            r: &mut SnapReader<'_>,
-        ) -> Result<Self, SnapError> {
-            let ready_at = r.snap()?;
-            let done = r.bool()?;
-            let ops_issued = r.u64()?;
-            let in_flight = r.snap()?;
-            if !stream.skip(ops_issued) {
+    /// A `done` wavefront is NOT necessarily at stream exhaustion: an op
+    /// cap or a device fence (violation policy) marks it done with ops
+    /// still unread. The stream is never read again either way, so its
+    /// position past `ops_issued` is irrelevant.
+    impl Snap for Wavefront {
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.snap(&mut self.ready_at)?;
+            c.snap(&mut self.done)?;
+            c.snap(&mut self.ops_issued)?;
+            c.snap(&mut self.in_flight)?;
+            if c.reading() && !self.stream.skip(self.ops_issued) {
                 return Err(SnapError::BadValue("stream shorter than snapshot"));
             }
-            // A `done` wavefront is NOT necessarily at stream exhaustion:
-            // an op cap or a device fence (violation policy) marks it done
-            // with ops still unread. The stream is never read again either
-            // way, so its position past `ops_issued` is irrelevant.
-            Ok(Wavefront {
-                stream,
-                ready_at,
-                done,
-                ops_issued,
-                in_flight,
-            })
+            Ok(())
         }
     }
 
-    impl ComputeUnit {
-        /// Serializes one CU cluster (L1, L1 TLB, wavefront contexts).
-        /// Stream positions are recorded as consumed-op counts.
-        pub fn save_state(&self, w: &mut SnapWriter) {
-            w.snap(&self.l1);
-            w.snap(&self.tlb);
-            w.usize(self.wavefronts.len());
-            for wf in &self.wavefronts {
-                wf.save_state(w);
-            }
-        }
-
-        /// Rebuilds one CU cluster. `open_stream` is called once per
-        /// wavefront context, in local index order, and must yield the
-        /// same op sequences the snapshotted run saw.
-        ///
-        /// # Errors
-        ///
-        /// Decode errors, plus [`SnapError::BadValue`] when a re-opened
-        /// stream disagrees with the snapshot's recorded position.
-        pub fn restore_state(
-            r: &mut SnapReader<'_>,
-            mut open_stream: impl FnMut(usize) -> Box<dyn AccessStream>,
-        ) -> Result<Self, SnapError> {
-            let l1 = r.snap()?;
-            let tlb = r.snap()?;
-            let n = r.usize()?;
-            if n > r.remaining() {
-                return Err(SnapError::Truncated);
-            }
-            let mut wavefronts = Vec::with_capacity(n);
-            for local in 0..n {
-                let stream = open_stream(local);
-                wavefronts.push(Wavefront::restore_state(stream, r)?);
-            }
-            Ok(ComputeUnit {
-                l1,
-                tlb,
-                wavefronts,
-            })
+    impl Snap for ComputeUnit {
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.built_opt(&mut self.l1, "L1 presence")?;
+            c.built_opt(&mut self.tlb, "L1 TLB presence")?;
+            c.each(&mut self.wavefronts, "wavefront count")
         }
     }
 
-    impl Gpu {
-        /// Serializes the GPU's full state. The CU count is explicit: a
-        /// decomposed system peels its CUs into per-component frontends
-        /// and snapshots the (then CU-less) device here, the clusters
-        /// separately. Stream positions are recorded as consumed-op
-        /// counts; see [`Gpu::restore_state`].
-        pub fn save_state(&self, w: &mut SnapWriter) {
-            w.section(*b"GPU0");
-            w.snap(&self.config);
-            w.snap(&self.behavior);
-            w.usize(self.cus.len());
-            for cu in &self.cus {
-                cu.save_state(w);
-            }
-            w.snap(&self.l2);
-            w.snap(&self.probe_rng);
-            w.u64(self.ignored_shootdowns);
-        }
-
-        /// Rebuilds a GPU from [`Gpu::save_state`] bytes. `open_stream` is
-        /// called once per wavefront context, in global wavefront-id order
-        /// (`(wf_id, total_wfs)`, with `total_wfs` from the structural
-        /// config), and must yield the same op sequences the snapshotted
-        /// run saw (the [`bc_workloads::StreamSource`] determinism
-        /// contract).
-        ///
-        /// # Errors
-        ///
-        /// Decode errors, plus [`SnapError::BadValue`] when a re-opened
-        /// stream ends before the snapshot's recorded position or the CU
-        /// count exceeds the structural config's.
-        pub fn restore_state(
-            r: &mut SnapReader<'_>,
-            mut open_stream: impl FnMut(u32, u32) -> Box<dyn AccessStream>,
-        ) -> Result<Self, SnapError> {
-            r.section(*b"GPU0")?;
-            let config: GpuConfig = r.snap()?;
-            let behavior = r.snap()?;
-            let total_wfs = (config.compute_units * config.wavefronts_per_cu) as u32;
-            let n_cus = r.usize()?;
-            if n_cus > config.compute_units {
-                return Err(SnapError::BadValue("GPU compute-unit count"));
-            }
-            let mut cus = Vec::with_capacity(n_cus);
-            for cu_idx in 0..n_cus {
-                let base = (cu_idx * config.wavefronts_per_cu) as u32;
-                cus.push(ComputeUnit::restore_state(r, |local| {
-                    open_stream(base + local as u32, total_wfs)
-                })?);
-            }
-            Ok(Gpu {
-                config,
-                behavior,
-                cus,
-                l2: r.snap()?,
-                probe_rng: r.snap()?,
-                ignored_shootdowns: r.u64()?,
-            })
+    /// The CU count is explicit: a decomposed system peels its CUs into
+    /// per-component frontends and snapshots the (then CU-less) device
+    /// here, the clusters separately.
+    impl Snap for Gpu {
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.section(*b"GPU0")?;
+            c.built(&self.config, "GPU config")?;
+            c.built(&self.behavior, "accelerator behavior")?;
+            c.each(&mut self.cus, "GPU compute-unit count")?;
+            c.built_opt(&mut self.l2, "L2 presence")?;
+            c.snap(&mut self.probe_rng)?;
+            c.snap(&mut self.ignored_shootdowns)
         }
     }
 }

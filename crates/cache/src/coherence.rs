@@ -273,38 +273,16 @@ impl Default for MoesiLine {
 
 /// Snapshot codec: one byte per line state.
 mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
     use super::{CoherenceState, MoesiLine};
 
-    impl Snap for CoherenceState {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                CoherenceState::Invalid => 0,
-                CoherenceState::Shared => 1,
-                CoherenceState::Exclusive => 2,
-                CoherenceState::Owned => 3,
-                CoherenceState::Modified => 4,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(CoherenceState::Invalid),
-                1 => Ok(CoherenceState::Shared),
-                2 => Ok(CoherenceState::Exclusive),
-                3 => Ok(CoherenceState::Owned),
-                4 => Ok(CoherenceState::Modified),
-                _ => Err(SnapError::BadValue("coherence state")),
-            }
-        }
-    }
+    bc_sim::snap_enum!(CoherenceState, "coherence state",
+        0 => Invalid, 1 => Shared, 2 => Exclusive, 3 => Owned, 4 => Modified);
 
     impl Snap for MoesiLine {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.state);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(MoesiLine { state: r.snap()? })
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.snap(&mut self.state)
         }
     }
 }

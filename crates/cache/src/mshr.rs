@@ -147,44 +147,28 @@ impl MshrTable {
 }
 
 /// Snapshot codec: the outstanding map (already sorted by block index)
-/// is the exact state; the completion-time index is derived and rebuilt.
+/// is the exact state; the capacity comes from the build, and the
+/// completion-time index is derived and rebuilt.
 mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-    use bc_sim::Cycle;
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
     use super::MshrTable;
 
     impl Snap for MshrTable {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"MSHR");
-            w.usize(self.capacity);
-            w.usize(self.outstanding.len());
-            for (&block, done) in &self.outstanding {
-                w.u64(block);
-                w.snap(done);
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.section(*b"MSHR")?;
+            c.built(&self.capacity, "MSHR capacity")?;
+            c.snap(&mut self.outstanding)?;
+            c.snap(&mut self.merges)?;
+            c.snap(&mut self.stalls)?;
+            if c.reading() {
+                let issued = self
+                    .outstanding
+                    .iter()
+                    .filter_map(|(&b, d)| Some(((*d)?, b)));
+                self.by_done = issued.map(|key| (key, ())).collect();
             }
-            w.snap(&self.merges);
-            w.snap(&self.stalls);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"MSHR")?;
-            let capacity = r.usize()?;
-            if capacity == 0 {
-                return Err(SnapError::BadValue("MSHR capacity"));
-            }
-            let mut table = MshrTable::new(capacity);
-            let n = r.usize()?;
-            for _ in 0..n {
-                let block = r.u64()?;
-                let done: Option<Cycle> = r.snap()?;
-                if let Some(d) = done {
-                    table.by_done.insert((d, block), ());
-                }
-                table.outstanding.insert(block, done);
-            }
-            table.merges = r.snap()?;
-            table.stalls = r.snap()?;
-            Ok(table)
+            Ok(())
         }
     }
 }

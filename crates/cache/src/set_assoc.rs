@@ -578,120 +578,54 @@ impl Cache {
 
 /// Snapshot codec: the tag store is serialized positionally (victim
 /// choice scans ways in order, so which way holds a line is behavioral),
-/// along with the use clock, replacement RNG and counters. The resident-
-/// page index, its armed flag and the spare lists are rebuild-on-demand
-/// amortization: a restored cache re-arms on its first selective flush
-/// and emits evictions in the same sorted-slot order either way.
+/// along with the use clock, replacement RNG and counters; the config
+/// comes from the build. The line counts are recounted on restore. The
+/// resident-page index, its armed flag and the spare lists are
+/// rebuild-on-demand amortization: a restored cache re-arms on its first
+/// selective flush and emits evictions in the same sorted-slot order
+/// either way.
 mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{Cache, CacheConfig, Line, Replacement, WritePolicy};
+    use super::{Cache, CacheConfig, Replacement, WritePolicy};
 
-    impl Snap for WritePolicy {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                WritePolicy::WriteBack => 0,
-                WritePolicy::WriteThrough => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(WritePolicy::WriteBack),
-                1 => Ok(WritePolicy::WriteThrough),
-                _ => Err(SnapError::BadValue("write policy")),
-            }
-        }
-    }
-
-    impl Snap for Replacement {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                Replacement::Lru => 0,
-                Replacement::Random => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(Replacement::Lru),
-                1 => Ok(Replacement::Random),
-                _ => Err(SnapError::BadValue("replacement policy")),
-            }
-        }
-    }
+    bc_sim::snap_enum!(WritePolicy, "write policy", 0 => WriteBack, 1 => WriteThrough);
+    bc_sim::snap_enum!(Replacement, "replacement policy", 0 => Lru, 1 => Random);
 
     impl Snap for CacheConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u64(self.size_bytes);
-            w.usize(self.ways);
-            w.u64(self.block_bytes);
-            w.snap(&self.write_policy);
-            w.snap(&self.replacement);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(CacheConfig {
-                size_bytes: r.u64()?,
-                ways: r.usize()?,
-                block_bytes: r.u64()?,
-                write_policy: r.snap()?,
-                replacement: r.snap()?,
-            })
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.snap(&mut self.size_bytes)?;
+            c.snap(&mut self.ways)?;
+            c.snap(&mut self.block_bytes)?;
+            c.snap(&mut self.write_policy)?;
+            c.snap(&mut self.replacement)
         }
     }
 
     impl Snap for Cache {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"CACH");
-            w.snap(&self.config);
-            for line in &self.lines {
-                w.bool(line.valid);
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.section(*b"CACH")?;
+            c.built(&self.config, "cache config")?;
+            for line in self.lines.iter_mut() {
+                c.snap(&mut line.valid)?;
                 if line.valid {
-                    w.u64(line.tag);
-                    w.bool(line.dirty);
-                    w.u64(line.last_use);
+                    c.snap(&mut line.tag)?;
+                    c.snap(&mut line.dirty)?;
+                    c.snap(&mut line.last_use)?;
                 }
             }
-            w.u64(self.clock);
-            w.snap(&self.rng);
-            w.snap(&self.stats);
-            w.snap(&self.writebacks);
-            w.snap(&self.write_throughs);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"CACH")?;
-            let config: CacheConfig = r.snap()?;
-            if config.ways == 0
-                || config.block_bytes == 0
-                || config.size_bytes / config.block_bytes < config.ways as u64
-                || !((config.size_bytes / config.block_bytes) / config.ways as u64)
-                    .is_power_of_two()
-            {
-                return Err(SnapError::BadValue("cache geometry"));
+            c.snap(&mut self.clock)?;
+            c.snap(&mut self.rng)?;
+            c.snap(&mut self.stats)?;
+            c.snap(&mut self.writebacks)?;
+            c.snap(&mut self.write_throughs)?;
+            if c.reading() {
+                self.valid_count = self.lines.iter().filter(|l| l.valid).count();
+                self.dirty_count = self.lines.iter().filter(|l| l.valid && l.dirty).count();
+                self.page_index.clear();
+                self.index_armed = false;
             }
-            let mut cache = Cache::new(config);
-            let mut valid_count = 0usize;
-            let mut dirty_count = 0usize;
-            for line in cache.lines.iter_mut() {
-                if r.bool()? {
-                    *line = Line {
-                        tag: r.u64()?,
-                        valid: true,
-                        dirty: r.bool()?,
-                        last_use: r.u64()?,
-                    };
-                    valid_count += 1;
-                    if line.dirty {
-                        dirty_count += 1;
-                    }
-                }
-            }
-            cache.valid_count = valid_count;
-            cache.dirty_count = dirty_count;
-            cache.clock = r.u64()?;
-            cache.rng = r.snap()?;
-            cache.stats = r.snap()?;
-            cache.writebacks = r.snap()?;
-            cache.write_throughs = r.snap()?;
-            Ok(cache)
+            Ok(())
         }
     }
 }

@@ -10,16 +10,14 @@ use bc_cache::{
 };
 use bc_mem::addr::{Asid, PageSize, PhysAddr, Ppn, Vpn};
 use bc_mem::perms::PagePerms;
-use bc_sim::snapshot::{Snap, SnapReader, SnapWriter};
+use bc_sim::snapshot::{read_into, to_bytes, Snap};
 use bc_sim::Cycle;
 
-fn round_trip<T: Snap>(v: &T) -> T {
-    let mut w = SnapWriter::new();
-    w.snap(v);
-    let bytes = w.into_bytes();
-    let mut r = SnapReader::new(&bytes);
-    let out = r.snap::<T>().expect("decodes");
-    r.finish().expect("fully consumed");
+/// Writes `v`, then reads the bytes over the value `build` makes the
+/// way `v` was made, as a restore reads over the machine it built.
+fn round_trip<T: Snap>(v: &mut T, build: impl FnOnce(&T) -> T) -> T {
+    let mut out = build(v);
+    read_into(&to_bytes(v), &mut out).expect("decodes, fully consumed");
     out
 }
 
@@ -45,7 +43,7 @@ fn cache_round_trip_behaves_identically() {
             };
             c.access(PhysAddr::new(b * 128 * 5), access);
         }
-        let mut r = round_trip(&c);
+        let mut r = round_trip(&mut c, |c| Cache::new(c.config()));
         assert_eq!(r.valid_lines(), c.valid_lines());
         assert_eq!(r.dirty_lines(), c.dirty_lines());
         assert_eq!(r.stats(), c.stats());
@@ -93,7 +91,7 @@ fn tlb_round_trip_behaves_identically() {
     });
     t.lookup(Asid::new(1), Vpn::new(7));
 
-    let mut r = round_trip(&t);
+    let mut r = round_trip(&mut t, |t| Tlb::new(t.config()));
     assert_eq!(r.valid_entries(), t.valid_entries());
     assert_eq!(r.stats(), t.stats());
     for i in 0..16u64 {
@@ -137,7 +135,7 @@ fn mshr_round_trip_preserves_outstanding_and_stall_times() {
     m.register(Cycle::new(1), 1); // merge
     m.register(Cycle::new(1), 3); // stall
 
-    let mut r = round_trip(&m);
+    let mut r = round_trip(&mut m, |_| MshrTable::new(2));
     assert_eq!(r.in_flight(), m.in_flight());
     assert_eq!(r.merges(), m.merges());
     assert_eq!(r.stalls(), m.stalls());
@@ -161,7 +159,7 @@ fn moesi_line_round_trip() {
         if let Some((ev, writable)) = setup {
             l.cpu_event(ev, writable);
         }
-        let r = round_trip(&l);
+        let r = round_trip(&mut l, |_| MoesiLine::new());
         assert_eq!(r.state(), l.state());
     }
     // Owned is only reachable via a bus event.
@@ -169,5 +167,8 @@ fn moesi_line_round_trip() {
     l.cpu_event(CpuEvent::Store, true);
     l.bus_event(bc_cache::coherence::BusEvent::RemoteGetS);
     assert_eq!(l.state(), CoherenceState::Owned);
-    assert_eq!(round_trip(&l).state(), CoherenceState::Owned);
+    assert_eq!(
+        round_trip(&mut l, |_| MoesiLine::new()).state(),
+        CoherenceState::Owned
+    );
 }

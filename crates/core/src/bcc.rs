@@ -404,85 +404,40 @@ impl Bcc {
 
 /// Snapshot codec. Entries are saved *positionally* (fill scans for the
 /// first invalid way, so which slot holds which entry is behavioral);
-/// `set_mask` is derived from the geometry and `occupancy` is recounted
-/// from the restored valid bits.
+/// the config comes from the build, and `occupancy` is recounted from
+/// the restored valid bits.
 mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{Bcc, BccConfig, Entry, ENTRY_BITS_BYTES, PAGES_PER_BLOCK};
+    use super::{Bcc, BccConfig};
 
     impl Snap for BccConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.usize(self.entries);
-            w.u64(self.pages_per_entry);
-            w.usize(self.ways);
-            w.u64(self.latency);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(BccConfig {
-                entries: r.usize()?,
-                pages_per_entry: r.u64()?,
-                ways: r.usize()?,
-                latency: r.u64()?,
-            })
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.snap(&mut self.entries)?;
+            c.snap(&mut self.pages_per_entry)?;
+            c.snap(&mut self.ways)?;
+            c.snap(&mut self.latency)
         }
     }
 
     impl Snap for Bcc {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"BCC0");
-            w.snap(&self.config);
-            for e in self.entries.iter() {
-                w.bool(e.valid);
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.section(*b"BCC0")?;
+            c.built(&self.config, "BCC config")?;
+            for e in self.entries.iter_mut() {
+                c.snap(&mut e.valid)?;
                 if e.valid {
-                    w.u64(e.tag);
-                    w.u64(e.last_use);
-                    w.bytes(&e.bits);
+                    c.snap(&mut e.tag)?;
+                    c.snap(&mut e.last_use)?;
+                    c.bytes(&mut e.bits, "BCC entry bits")?;
                 }
             }
-            w.u64(self.clock);
-            w.snap(&self.stats);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"BCC0")?;
-            let config: BccConfig = r.snap()?;
-            // Mirror the `sets()` geometry asserts as decode errors so a
-            // corrupt snapshot cannot panic the restore path.
-            let geometry_ok = config.ways > 0
-                && config.entries >= config.ways
-                && config.pages_per_entry.is_power_of_two()
-                && config.pages_per_entry <= PAGES_PER_BLOCK
-                && (config.entries / config.ways).is_power_of_two();
-            if !geometry_ok {
-                return Err(SnapError::BadValue("BCC geometry"));
+            c.snap(&mut self.clock)?;
+            c.snap(&mut self.stats)?;
+            if c.reading() {
+                self.occupancy = self.entries.iter().filter(|e| e.valid).count();
             }
-            let mut bcc = Bcc::new(config);
-            let mut occupancy = 0;
-            for e in bcc.entries.iter_mut() {
-                if r.bool()? {
-                    let tag = r.u64()?;
-                    let last_use = r.u64()?;
-                    let raw = r.byte_slice()?;
-                    let mut bits = [0u8; ENTRY_BITS_BYTES];
-                    if raw.len() != ENTRY_BITS_BYTES {
-                        return Err(SnapError::BadValue("BCC entry bits"));
-                    }
-                    bits.copy_from_slice(raw);
-                    *e = Entry {
-                        tag,
-                        valid: true,
-                        last_use,
-                        bits,
-                    };
-                    occupancy += 1;
-                } else {
-                    *e = Entry::EMPTY;
-                }
-            }
-            bcc.clock = r.u64()?;
-            bcc.stats = r.snap()?;
-            bcc.occupancy = occupancy;
-            Ok(bcc)
+            Ok(())
         }
     }
 }

@@ -18,7 +18,7 @@ use bc_core::table::PAGES_PER_BLOCK;
 use bc_core::{Bcc, BccConfig, ProtectionTable};
 use bc_mem::{PagePerms, PhysMemStore, Ppn};
 use bc_sim::rng::SimRng;
-use bc_sim::snapshot::{Snap, SnapWriter};
+use bc_sim::snapshot::to_bytes;
 use proptest::prelude::*;
 
 /// Test-only copy of the decode-and-pack fill path.
@@ -174,7 +174,10 @@ mod reference {
         pub fn snap_bytes(&self) -> Vec<u8> {
             let mut w = SnapWriter::new();
             w.section(*b"BCC0");
-            w.snap(&self.config);
+            w.usize(self.config.entries);
+            w.u64(self.config.pages_per_entry);
+            w.usize(self.config.ways);
+            w.u64(self.config.latency);
             for e in &self.entries {
                 w.bool(e.valid);
                 if e.valid {
@@ -253,10 +256,8 @@ fn decode_op(bounds: u64, (sel, near, raw, byte): (u8, bool, u64, u8)) -> Op {
     }
 }
 
-fn snap_of(bcc: &Bcc) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    bcc.save(&mut w);
-    w.into_bytes()
+fn snap_of(bcc: &mut Bcc) -> Vec<u8> {
+    to_bytes(bcc)
 }
 
 proptest! {
@@ -312,7 +313,7 @@ proptest! {
                     let ppn = Ppn::new(p);
                     real.fill_bytes(ppn, &table.block_bytes(&store, ppn));
                     model.fill(ppn, &reference::read_block(&table, &store, ppn));
-                    prop_assert_eq!(snap_of(&real), model.snap_bytes(), "snapshot after fill of page {} at step {}", p, step);
+                    prop_assert_eq!(snap_of(&mut real), model.snap_bytes(), "snapshot after fill of page {} at step {}", p, step);
                     let first = p - p % pages_per_entry;
                     for q in first..first + pages_per_entry {
                         prop_assert_eq!(real.lookup(Ppn::new(q)), model.lookup(Ppn::new(q)), "page {} after fill of page {} at step {}", q, p, step);
@@ -331,7 +332,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(snap_of(&real), model.snap_bytes(), "final snapshot");
+        prop_assert_eq!(snap_of(&mut real), model.snap_bytes(), "final snapshot");
     }
 }
 
@@ -368,7 +369,11 @@ fn perm_fill_and_read_block_wrap_the_byte_path() {
             }
             by_perms.fill(ppn, &perms);
             by_bytes.fill_bytes(ppn, &bytes);
-            assert_eq!(snap_of(&by_perms), snap_of(&by_bytes), "fill of page {p}");
+            assert_eq!(
+                snap_of(&mut by_perms),
+                snap_of(&mut by_bytes),
+                "fill of page {p}"
+            );
         }
     }
 }

@@ -7,16 +7,14 @@ use bc_mem::addr::{Ppn, VirtAddr, Vpn};
 use bc_mem::dram::{Dram, DramConfig};
 use bc_mem::perms::PagePerms;
 use bc_os::{Kernel, KernelConfig, ProcessState, Violation, ViolationKind, ViolationPolicy};
-use bc_sim::snapshot::{Snap, SnapReader, SnapWriter};
+use bc_sim::snapshot::{read_into, to_bytes, Snap};
 use bc_sim::Cycle;
 
-fn round_trip<T: Snap>(v: &T) -> T {
-    let mut w = SnapWriter::new();
-    w.snap(v);
-    let bytes = w.into_bytes();
-    let mut r = SnapReader::new(&bytes);
-    let out = r.snap::<T>().expect("decodes");
-    r.finish().expect("fully consumed");
+/// Writes `v`, then reads the bytes over the value `build` makes the
+/// way `v` was made, as a restore reads over the machine it built.
+fn round_trip<T: Snap>(v: &mut T, build: impl FnOnce(&T) -> T) -> T {
+    let mut out = build(v);
+    read_into(&to_bytes(v), &mut out).expect("decodes, fully consumed");
     out
 }
 
@@ -45,7 +43,7 @@ fn kernel_round_trip_preserves_processes_and_books() {
         at: Cycle::new(77),
     });
 
-    let mut r = round_trip(&k);
+    let mut r = round_trip(&mut k, |k| Kernel::new(k.config()));
     assert_eq!(r.frames_allocated(), k.frames_allocated());
     assert_eq!(r.minor_faults(), k.minor_faults());
     assert_eq!(r.downgrades(), k.downgrades());
@@ -111,9 +109,11 @@ fn border_control_round_trip_behaves_identically() {
         &mut dram,
     );
 
-    let mut rk = round_trip(&kernel);
-    let mut rd = round_trip(&dram);
-    let mut rbc = round_trip(&bc);
+    let mut rk = round_trip(&mut kernel, |k| Kernel::new(k.config()));
+    let mut rd = round_trip(&mut dram, |d| Dram::new(d.config()));
+    let mut rbc = round_trip(&mut bc, |_| {
+        BorderControl::new(3, BorderControlConfig::default())
+    });
     assert_eq!(rbc.checks(), bc.checks());
     assert_eq!(rbc.violations_blocked(), bc.violations_blocked());
     assert_eq!(rbc.pt_reads(), bc.pt_reads());

@@ -382,68 +382,36 @@ impl Ats {
 /// Snapshot codec: the IOTLB and walker calendars carry their own
 /// codecs; the page-walk cache vector is saved in slot order (lookup is
 /// exact-match and eviction is min-by-clock, but `swap_remove` makes the
-/// slot order part of the exact state anyway).
+/// slot order part of the exact state anyway). The config comes from the
+/// build.
 mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
     use super::{Ats, AtsConfig};
 
     impl Snap for AtsConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.usize(self.iotlb_entries);
-            w.usize(self.iotlb_ways);
-            w.u64(self.iotlb_latency);
-            w.usize(self.walkers);
-            w.usize(self.pwc_entries);
-            w.u64(self.fault_latency);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(AtsConfig {
-                iotlb_entries: r.usize()?,
-                iotlb_ways: r.usize()?,
-                iotlb_latency: r.u64()?,
-                walkers: r.usize()?,
-                pwc_entries: r.usize()?,
-                fault_latency: r.u64()?,
-            })
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.snap(&mut self.iotlb_entries)?;
+            c.snap(&mut self.iotlb_ways)?;
+            c.snap(&mut self.iotlb_latency)?;
+            c.snap(&mut self.walkers)?;
+            c.snap(&mut self.pwc_entries)?;
+            c.snap(&mut self.fault_latency)
         }
     }
 
     impl Snap for Ats {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"ATS0");
-            w.snap(&self.config);
-            w.snap(&self.iotlb);
-            w.snap(&self.walker_ports);
-            w.snap(&self.pwc);
-            w.u64(self.pwc_clock);
-            w.snap(&self.pwc_hits);
-            w.snap(&self.translations);
-            w.snap(&self.walks);
-            w.snap(&self.faults);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"ATS0")?;
-            let config: AtsConfig = r.snap()?;
-            if config.validate().is_err() {
-                return Err(SnapError::BadValue("ATS geometry"));
-            }
-            let iotlb = r.snap()?;
-            let walker_ports: bc_sim::resource::Channels = r.snap()?;
-            if walker_ports.ports().len() != config.walkers {
-                return Err(SnapError::BadValue("ATS walker count"));
-            }
-            Ok(Ats {
-                config,
-                iotlb,
-                walker_ports,
-                pwc: r.snap()?,
-                pwc_clock: r.u64()?,
-                pwc_hits: r.snap()?,
-                translations: r.snap()?,
-                walks: r.snap()?,
-                faults: r.snap()?,
-            })
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.section(*b"ATS0")?;
+            c.built(&self.config, "ATS config")?;
+            c.snap(&mut self.iotlb)?;
+            c.snap(&mut self.walker_ports)?;
+            c.snap(&mut self.pwc)?;
+            c.snap(&mut self.pwc_clock)?;
+            c.snap(&mut self.pwc_hits)?;
+            c.snap(&mut self.translations)?;
+            c.snap(&mut self.walks)?;
+            c.snap(&mut self.faults)
         }
     }
 }

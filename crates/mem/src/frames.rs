@@ -183,36 +183,24 @@ impl FrameAllocator {
 
 /// Snapshot codec: the allocator's books are its exact state — cursor,
 /// LIFO free list (order preserved: it determines future allocation
-/// addresses), and the allocated count.
+/// addresses), and the allocated count. The frame count comes from the
+/// build.
 mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
     use super::FrameAllocator;
-    use crate::addr::Ppn;
 
     impl Snap for FrameAllocator {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"FRAM");
-            w.u64(self.total_frames);
-            w.u64(self.cursor);
-            w.snap(&self.free_list);
-            w.u64(self.allocated);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"FRAM")?;
-            let total_frames = r.u64()?;
-            let cursor = r.u64()?;
-            let free_list: Vec<Ppn> = r.snap()?;
-            let allocated = r.u64()?;
-            if total_frames == 0 || cursor == 0 || cursor > total_frames {
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.section(*b"FRAM")?;
+            c.built(&self.total_frames, "frame allocator size")?;
+            c.snap(&mut self.cursor)?;
+            c.snap(&mut self.free_list)?;
+            c.snap(&mut self.allocated)?;
+            if self.cursor == 0 || self.cursor > self.total_frames {
                 return Err(SnapError::BadValue("frame allocator books"));
             }
-            Ok(FrameAllocator {
-                total_frames,
-                cursor,
-                free_list,
-                allocated,
-            })
+            Ok(())
         }
     }
 }

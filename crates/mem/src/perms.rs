@@ -180,22 +180,21 @@ impl fmt::Display for PagePerms {
 
 /// Snapshot codec: the three permission bits packed into one byte.
 mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
     use super::PagePerms;
 
     impl Snap for PagePerms {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(u8::from(self.readable())
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            let mut bits = u8::from(self.readable())
                 | (u8::from(self.writable()) << 1)
-                | (u8::from(self.executable()) << 2));
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let bits = r.u8()?;
+                | (u8::from(self.executable()) << 2);
+            c.snap(&mut bits)?;
             if bits > 0b111 {
                 return Err(SnapError::BadValue("page permission bits"));
             }
-            Ok(PagePerms::new(bits & 1 != 0, bits & 2 != 0, bits & 4 != 0))
+            *self = PagePerms::new(bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+            Ok(())
         }
     }
 }

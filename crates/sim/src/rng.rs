@@ -1,15 +1,12 @@
 //! Seedable, portable pseudo-random number generation.
 //!
-//! The simulator must be bit-for-bit reproducible across hosts and across
-//! `rand` crate versions, so the core generator — xoshiro256\*\* seeded via
-//! SplitMix64 — is implemented here from scratch. [`SimRng`] also implements
-//! [`rand::RngCore`] so the full `rand` distribution toolkit works on top
-//! of it.
+//! The simulator must be bit-for-bit reproducible across hosts, so the
+//! core generator — xoshiro256\*\* seeded via SplitMix64 — is implemented
+//! here from scratch.
 
 // bc-lint: allow-file(saturating-counter) — the wrapping multiplies/adds
 // ARE the xoshiro256** and SplitMix64 algorithms; nothing here is a
 // state counter.
-use rand::RngCore;
 
 /// Deterministic xoshiro256\*\* generator.
 ///
@@ -94,37 +91,11 @@ impl SimRng {
 }
 
 impl crate::snapshot::Snap for SimRng {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        for word in self.state {
-            w.u64(word);
-        }
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        Ok(SimRng {
-            state: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-        })
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
+    fn snap(
+        &mut self,
+        c: &mut crate::snapshot::Codec<'_>,
+    ) -> Result<(), crate::snapshot::SnapError> {
+        c.snap(&mut self.state)
     }
 }
 
@@ -225,20 +196,6 @@ mod tests {
         let mut c1 = parent.fork();
         let mut c2 = parent.fork();
         assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SimRng::seed_from(8);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn rngcore_next_u32_works() {
-        let mut r = SimRng::seed_from(21);
-        let _ = RngCore::next_u32(&mut r);
     }
 
     #[test]

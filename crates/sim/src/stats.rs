@@ -307,58 +307,39 @@ impl fmt::Display for Histogram {
 }
 
 impl crate::snapshot::Snap for Counter {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        Ok(Counter(r.u64()?))
+    fn snap(
+        &mut self,
+        c: &mut crate::snapshot::Codec<'_>,
+    ) -> Result<(), crate::snapshot::SnapError> {
+        c.snap(&mut self.0)
     }
 }
 
 impl crate::snapshot::Snap for HitMiss {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u64(self.hits);
-        w.u64(self.misses);
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        Ok(HitMiss {
-            hits: r.u64()?,
-            misses: r.u64()?,
-        })
+    fn snap(
+        &mut self,
+        c: &mut crate::snapshot::Codec<'_>,
+    ) -> Result<(), crate::snapshot::SnapError> {
+        c.snap(&mut self.hits)?;
+        c.snap(&mut self.misses)
     }
 }
 
 /// Snapshot codec. The buckets are written as a length-prefixed sequence
 /// of 64 (the `Vec<u64>` encoding); a length other than 64 is refused
-/// before any bucket is read.
+/// before any bucket is read. `min` uses `u64::MAX` as the "empty"
+/// sentinel and is stored verbatim, so a restored empty histogram is
+/// field-identical.
 impl crate::snapshot::Snap for Histogram {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.usize(HISTOGRAM_BUCKETS);
-        for &n in &self.buckets {
-            w.u64(n);
-        }
-        w.u64(self.count);
-        w.u64(self.sum);
-        // `min` uses u64::MAX as the "empty" sentinel; store it verbatim
-        // so a restored empty histogram is field-identical.
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        if r.usize()? != HISTOGRAM_BUCKETS {
-            return Err(crate::snapshot::SnapError::BadValue("histogram buckets"));
-        }
-        let mut buckets = [0; HISTOGRAM_BUCKETS];
-        for n in &mut buckets {
-            *n = r.u64()?;
-        }
-        Ok(Histogram {
-            buckets,
-            count: r.u64()?,
-            sum: r.u64()?,
-            min: r.u64()?,
-            max: r.u64()?,
-        })
+    fn snap(
+        &mut self,
+        c: &mut crate::snapshot::Codec<'_>,
+    ) -> Result<(), crate::snapshot::SnapError> {
+        c.each(&mut self.buckets, "histogram buckets")?;
+        c.snap(&mut self.count)?;
+        c.snap(&mut self.sum)?;
+        c.snap(&mut self.min)?;
+        c.snap(&mut self.max)
     }
 }
 
@@ -528,41 +509,37 @@ mod tests {
 
     #[test]
     fn histogram_snapshot_bytes_keep_the_vec_encoding() {
-        use crate::snapshot::{Snap, SnapReader, SnapWriter};
+        use crate::snapshot::{read_into, to_bytes, Codec, SnapWriter};
         let mut h = Histogram::new();
         for v in [0, 1, 2, 3, 100, 4096, 1 << 40] {
             h.record(v);
         }
-        let mut w = SnapWriter::new();
-        h.save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = to_bytes(&mut h);
         // The encoding of the heap layout: a `Vec<u64>` of 64 buckets,
         // then count, sum, min and max.
-        let mut expected = SnapWriter::new();
-        expected.snap(&h.buckets.to_vec());
-        for v in [h.count, h.sum, h.min, h.max] {
-            expected.u64(v);
+        let mut expected = Codec::Write(SnapWriter::new());
+        expected.snap(&mut h.buckets.to_vec()).unwrap();
+        for mut v in [h.count, h.sum, h.min, h.max] {
+            expected.snap(&mut v).unwrap();
         }
         assert_eq!(bytes, expected.into_bytes());
-        let mut r = SnapReader::new(&bytes);
-        let back = Histogram::load(&mut r).expect("round trip");
-        r.finish().expect("no trailing bytes");
+        let mut back = Histogram::new();
+        read_into(&bytes, &mut back).expect("round trip, no trailing bytes");
         assert_eq!(back.buckets, h.buckets);
         assert_eq!(
             (back.count, back.sum, back.min, back.max),
             (h.count, h.sum, h.min, h.max)
         );
         // An empty histogram keeps its `min` sentinel through the codec.
-        let mut w = SnapWriter::new();
-        Histogram::new().save(&mut w);
-        let bytes = w.into_bytes();
-        let empty = Histogram::load(&mut SnapReader::new(&bytes)).expect("empty round trip");
+        let bytes = to_bytes(&mut Histogram::new());
+        let mut empty = h.clone();
+        read_into(&bytes, &mut empty).expect("empty round trip");
         assert_eq!(empty.min, u64::MAX);
     }
 
     #[test]
     fn histogram_decoder_rejects_other_bucket_counts() {
-        use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+        use crate::snapshot::{read_into, SnapError, SnapWriter};
         // 2^40 buckets would be 8 TiB: the length must be refused before
         // anything is allocated or read for it.
         for len in [0usize, 63, 65, 1 << 40] {
@@ -573,7 +550,7 @@ mod tests {
             }
             let bytes = w.into_bytes();
             assert_eq!(
-                Histogram::load(&mut SnapReader::new(&bytes)).map(|_| ()),
+                read_into(&bytes, &mut Histogram::new()),
                 Err(SnapError::BadValue("histogram buckets")),
                 "bucket count {len}"
             );

@@ -199,39 +199,23 @@ pub enum CpuLookup {
     },
 }
 
-/// Snapshot codecs. The activity configuration carries `f64` mix
-/// fractions, so it is never serialized — the restoring system supplies
-/// it from its own (validated-identical) [`crate::SystemConfig`].
+/// Snapshot codec. The activity configuration carries `f64` mix
+/// fractions, so it is never serialized — it comes from the build, as
+/// whether the system has a host actor at all.
 mod snap_impls {
-    use bc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+    use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{HostActivityConfig, HostCpu};
+    use super::HostCpu;
 
-    impl HostCpu {
-        pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-            w.section(*b"HOST");
-            w.snap(&self.l1);
-            w.snap(&self.l2);
-            w.snap(&self.rng);
-            w.snap(&self.accesses);
-            w.snap(&self.shared_touches);
-            w.snap(&self.recalls_from_gpu);
-        }
-
-        pub(crate) fn restore_state(
-            config: HostActivityConfig,
-            r: &mut SnapReader<'_>,
-        ) -> Result<Self, SnapError> {
-            r.section(*b"HOST")?;
-            Ok(HostCpu {
-                config,
-                l1: r.snap()?,
-                l2: r.snap()?,
-                rng: r.snap()?,
-                accesses: r.snap()?,
-                shared_touches: r.snap()?,
-                recalls_from_gpu: r.snap()?,
-            })
+    impl Snap for HostCpu {
+        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+            c.section(*b"HOST")?;
+            c.snap(&mut self.l1)?;
+            c.snap(&mut self.l2)?;
+            c.snap(&mut self.rng)?;
+            c.snap(&mut self.accesses)?;
+            c.snap(&mut self.shared_touches)?;
+            c.snap(&mut self.recalls_from_gpu)
         }
     }
 }

@@ -17,10 +17,10 @@ use bc_os::{
 };
 use bc_sim::audit::Auditor;
 use bc_sim::shard::{CompId, Outbox, ShardEngine, ShardHandler, ShardSpec};
-use bc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bc_sim::snapshot::{Codec, Snap, SnapError, SnapReader, SnapWriter};
 use bc_sim::trace::{TraceKind, Tracer};
 use bc_sim::{Cycle, SimRng};
-use bc_workloads::{by_name, BlockAccess, BASE_VA};
+use bc_workloads::{by_name, BlockAccess, BlockList, BASE_VA};
 
 use crate::config::SystemConfig;
 use crate::frontend::{phys_block_from_entry, Event, Frontend, FrontendParams};
@@ -1631,26 +1631,17 @@ impl System {
         self.prime_engine(&mut engine);
         let run = self.drive(&mut engine, shards, &assignment, Some(cut));
         self.absorb_engine_telemetry(&run);
-        let pending = engine.drain_pending();
-        let out_seqs = engine.out_seqs();
+        let mut resume = ResumeState {
+            pending: engine.drain_pending(),
+            out_seqs: engine.out_seqs(),
+        };
 
         let mut w = SnapWriter::with_header(code_rev);
         w.str(&warm_key(&self.back.config));
-        self.back.save_state(&mut w);
-        w.usize(self.frontends.len());
-        for f in &self.frontends {
-            f.save_state(&mut w);
-        }
-        w.usize(pending.len());
-        for p in &pending {
-            w.usize(p.comp);
-            w.snap(&p.at);
-            w.u32(p.src);
-            w.u64(p.seq);
-            w.snap(&p.ev);
-        }
-        w.snap(&out_seqs);
-        w.into_bytes()
+        let mut c = Codec::Write(w);
+        self.snap_machine(&mut c, &mut resume)
+            .expect("writing cannot fail");
+        c.into_bytes()
     }
 
     /// Rebuilds a system from a [`System::snapshot_to`] buffer and primes
@@ -1658,14 +1649,18 @@ impl System {
     /// [`System::run`] restores the serialized calendar instead of
     /// seeding a fresh one. `config` must match the snapshotting config
     /// in every field except [`SystemConfig::shards`] (the engine's
-    /// schedule is shard-invariant); `source` re-opens every wavefront's
-    /// op stream under the [`bc_workloads::StreamSource`] determinism
-    /// contract.
+    /// schedule is shard-invariant). The machine is built once from
+    /// `config` and `source`, as [`System::build_with_source`] does, and
+    /// the bytes are read over it: each wavefront keeps the stream the
+    /// build opened and skips it to its recorded position, under the
+    /// [`bc_workloads::StreamSource`] determinism contract.
     ///
     /// # Errors
     ///
     /// [`RestoreError::Build`] when the structural machine cannot be
-    /// rebuilt, [`RestoreError::Snapshot`] on malformed or stale bytes,
+    /// built, [`RestoreError::Snapshot`] on malformed or stale bytes or
+    /// on bytes that disagree with the built machine (a config field, a
+    /// length, a pending event naming a slot it lacks),
     /// [`RestoreError::ConfigMismatch`] when the snapshot was taken
     /// under a different configuration.
     pub fn restore(
@@ -1679,54 +1674,95 @@ impl System {
         if r.string()? != warm_key(config) {
             return Err(RestoreError::ConfigMismatch);
         }
-        let workload = by_name(&config.workload, config.size)
-            .ok_or_else(|| BuildError::UnknownWorkload(config.workload.clone()))?;
-        sys.back.load_state(&mut r, source, workload.as_ref())?;
-
-        let nf = r.usize()?;
-        if nf != sys.frontends.len() {
-            return Err(SnapError::BadValue("frontend count").into());
-        }
-        let gc = config.effective_gpu_config();
-        let total_wfs = (gc.compute_units * gc.wavefronts_per_cu) as u32;
-        for (i, f) in sys.frontends.iter_mut().enumerate() {
-            let base = (i * gc.wavefronts_per_cu) as u32;
-            f.load_state(&mut r, |local| {
-                source.open_stream(
-                    workload.as_ref(),
-                    base + local as u32,
-                    total_wfs,
-                    config.seed,
-                )
-            })?;
-        }
-
-        let components = sys.frontends.len() + 1;
-        let np = r.usize()?;
-        if np > r.remaining() {
-            return Err(SnapError::Truncated.into());
-        }
-        let mut pending = Vec::with_capacity(np);
-        for _ in 0..np {
-            let comp = r.usize()?;
-            if comp >= components {
-                return Err(SnapError::BadValue("pending event component").into());
-            }
-            pending.push(bc_sim::shard::PendingEvent {
-                comp,
-                at: r.snap()?,
-                src: r.u32()?,
-                seq: r.u64()?,
-                ev: r.snap()?,
-            });
-        }
-        let out_seqs: Vec<u64> = r.snap()?;
-        if out_seqs.len() != components {
-            return Err(SnapError::BadValue("out-seq count").into());
-        }
-        r.finish()?;
-        sys.resume = Some(ResumeState { pending, out_seqs });
+        let mut c = Codec::Read(r);
+        let mut resume = ResumeState {
+            pending: Vec::new(),
+            out_seqs: Vec::new(),
+        };
+        sys.snap_machine(&mut c, &mut resume)?;
+        c.finish()?;
+        sys.resume = Some(resume);
         Ok(sys)
+    }
+
+    /// The snapshot description of the machine after the header and the
+    /// warm key: the backend, every frontend, then the engine's pending
+    /// calendar and its per-source sequence counters. Reading checks
+    /// every pending event against the machine (see
+    /// [`System::event_fits`]).
+    fn snap_machine(
+        &mut self,
+        c: &mut Codec<'_>,
+        resume: &mut ResumeState,
+    ) -> Result<(), SnapError> {
+        c.snap(&mut self.back)?;
+        c.each(&mut self.frontends, "frontend count")?;
+        let components = self.frontends.len() + 1;
+        let n = c.count(resume.pending.len())?;
+        resume
+            .pending
+            .resize_with(n, || bc_sim::shard::PendingEvent {
+                comp: 0,
+                at: Cycle::ZERO,
+                src: 0,
+                seq: 0,
+                ev: Event::Halt,
+            });
+        for p in &mut resume.pending {
+            c.snap(&mut p.comp)?;
+            if p.comp >= components {
+                return Err(SnapError::BadValue("pending event component"));
+            }
+            c.snap(&mut p.at)?;
+            c.snap(&mut p.src)?;
+            c.snap(&mut p.seq)?;
+            c.snap(&mut p.ev)?;
+            if !self.event_fits(p.comp, &p.ev) {
+                return Err(SnapError::BadValue("pending event slot"));
+            }
+        }
+        resume.out_seqs.resize(components, 0);
+        c.each(&mut resume.out_seqs, "out-seq count")
+    }
+
+    /// Whether component `comp` of this machine handles `ev`, and every
+    /// index `ev` carries names a slot the machine has: a frontend, a
+    /// wavefront of the CU that runs it, a block of an op.
+    fn event_fits(&self, comp: usize, ev: &Event) -> bool {
+        let to_back = comp == self.frontends.len();
+        let back_wfs = |cu: usize| self.back.gpu.cus.get(cu).map_or(0, |c| c.wavefronts.len());
+        let front_wfs = |cu: usize| self.frontends.get(cu).map_or(0, |f| f.cu.wavefronts.len());
+        let block_fits = |block: u8| usize::from(block) < BlockList::CAPACITY;
+        match *ev {
+            // A frontend runs the wavefronts of its own CU.
+            Event::WavefrontReady { cu, wf } | Event::IssueOp { cu, wf } => {
+                wf < if to_back {
+                    back_wfs(cu)
+                } else {
+                    front_wfs(comp)
+                }
+            }
+            Event::Translate { cu, .. } => to_back && cu < self.frontends.len(),
+            Event::L2Req { cu, wf, block, .. } => {
+                to_back && wf < front_wfs(cu) && block_fits(block)
+            }
+            Event::Downgrade
+            | Event::CommitDowngrade { .. }
+            | Event::CpuTick
+            | Event::Probe { .. }
+            | Event::WfDone => to_back,
+            Event::BlockDone { wf, block, .. } => {
+                !to_back && wf < front_wfs(comp) && block_fits(block)
+            }
+            Event::TlbFill { .. }
+            | Event::StallHorizon { .. }
+            | Event::Shootdown(_)
+            | Event::FlushPage(_)
+            | Event::FlushAll
+            | Event::RecallInv { .. }
+            | Event::Disable
+            | Event::Halt => !to_back,
+        }
     }
 
     /// The engine layout for this machine: spec plus the
@@ -1893,134 +1929,56 @@ impl From<SnapError> for RestoreError {
 }
 
 /// Snapshot codec for the backend. Config-derived fields (the config
-/// itself, footprint geometry, lookahead, component counts) are rebuilt
-/// by [`Backend::build`] at restore; transients (`outgoing`,
-/// `flush_scratch`) are empty at any cut by construction; everything the
-/// run mutates is serialized exactly. The hot-profile event counters are
-/// always written as four words so the byte format is independent of the
-/// `hotprof` feature.
-mod backend_snapshot {
-    use super::*;
-
-    impl Backend {
-        pub(super) fn save_state(&self, w: &mut SnapWriter) {
-            debug_assert!(
-                self.outgoing.is_empty(),
-                "dispatch in progress at snapshot cut"
-            );
-            w.section(*b"SYS0");
-            w.snap(&self.kernel);
-            w.snap(&self.dram);
-            w.snap(&self.ats);
-            w.snap(&self.bc);
-            self.gpu.save_state(w);
-            w.snap(&self.asid);
-            w.snap(&self.now);
-            w.snap(&self.stall_until);
-            w.u64(self.ops);
-            w.u64(self.block_accesses);
-            w.u64(self.events_dispatched);
-            w.snap(&self.violations);
-            w.bool(self.aborted);
-            w.snap(&self.abort_reason);
-            w.bool(self.accel_disabled);
-            w.u64(self.downgrades_done);
-            w.u64(self.probes_attempted);
-            w.u64(self.probes_blocked);
-            w.u64(self.probes_succeeded);
-            w.snap(&self.rng);
-            w.snap(&self.iommu_port);
-            w.snap(&self.l2_port);
-            w.snap(&self.cu_ports);
-            w.usize(self.wb_queue.len());
-            for c in &self.wb_queue {
-                w.snap(c);
-            }
-            w.snap(&self.l2_mshr);
-            w.snap(&self.tracer);
-            match &self.host {
-                Some(h) => {
-                    w.bool(true);
-                    h.save_state(w);
-                }
-                None => w.bool(false),
-            }
-            w.snap(&self.auditor);
-            w.u64(self.done_wfs);
-            w.snap(&self.fill_horizon);
-            w.u32(self.pending_commits);
-            w.snap(&self.deferred_translates);
-            #[cfg(feature = "hotprof")]
-            for c in self.event_counts {
-                w.u64(c);
-            }
-            #[cfg(not(feature = "hotprof"))]
-            for _ in 0..4 {
-                w.u64(0);
-            }
-        }
-
-        pub(super) fn load_state(
-            &mut self,
-            r: &mut SnapReader<'_>,
-            source: &dyn bc_workloads::StreamSource,
-            workload: &dyn bc_workloads::Workload,
-        ) -> Result<(), SnapError> {
-            r.section(*b"SYS0")?;
-            self.kernel = r.snap()?;
-            self.dram = r.snap()?;
-            self.ats = r.snap()?;
-            self.bc = r.snap()?;
-            let seed = self.config.seed;
-            self.gpu =
-                Gpu::restore_state(r, |wf, total| source.open_stream(workload, wf, total, seed))?;
-            self.asid = r.snap()?;
-            self.now = r.snap()?;
-            self.stall_until = r.snap()?;
-            self.ops = r.u64()?;
-            self.block_accesses = r.u64()?;
-            self.events_dispatched = r.u64()?;
-            self.violations = r.snap()?;
-            self.aborted = r.bool()?;
-            self.abort_reason = r.snap()?;
-            self.accel_disabled = r.bool()?;
-            self.downgrades_done = r.u64()?;
-            self.probes_attempted = r.u64()?;
-            self.probes_blocked = r.u64()?;
-            self.probes_succeeded = r.u64()?;
-            self.rng = r.snap()?;
-            self.iommu_port = r.snap()?;
-            self.l2_port = r.snap()?;
-            self.cu_ports = r.snap()?;
-            let n = r.usize()?;
-            if n > r.remaining() {
-                return Err(SnapError::Truncated);
-            }
-            self.wb_queue = (0..n)
-                .map(|_| r.snap())
-                .collect::<Result<std::collections::VecDeque<_>, _>>()?;
-            self.l2_mshr = r.snap()?;
-            self.tracer = r.snap()?;
-            let has_host = r.bool()?;
-            self.host = match (has_host, self.config.host_activity) {
-                (true, Some(cfg)) => Some(HostCpu::restore_state(cfg, r)?),
-                (false, None) => None,
-                _ => return Err(SnapError::BadValue("host actor presence mismatch")),
-            };
-            self.auditor = r.snap()?;
-            self.done_wfs = r.u64()?;
-            self.fill_horizon = r.snap()?;
-            self.pending_commits = r.u32()?;
-            self.deferred_translates = r.snap()?;
-            let counts = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-            #[cfg(feature = "hotprof")]
-            {
-                self.event_counts = counts;
-            }
-            #[cfg(not(feature = "hotprof"))]
-            let _ = counts;
-            Ok(())
-        }
+/// itself, footprint geometry, lookahead, component counts) come from
+/// the build, as do the CU port count and whether the host actor and the
+/// auditor exist; transients (`outgoing`, `flush_scratch`) are empty at
+/// any cut by construction; everything the run mutates is serialized
+/// exactly. The hot-profile event counters are always written as four
+/// words so the byte format is independent of the `hotprof` feature.
+impl Snap for Backend {
+    fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
+        debug_assert!(
+            self.outgoing.is_empty(),
+            "dispatch in progress at snapshot cut"
+        );
+        c.section(*b"SYS0")?;
+        c.snap(&mut self.kernel)?;
+        c.snap(&mut self.dram)?;
+        c.snap(&mut self.ats)?;
+        c.built_opt(&mut self.bc, "Border Control presence")?;
+        c.snap(&mut self.gpu)?;
+        c.snap(&mut self.asid)?;
+        c.snap(&mut self.now)?;
+        c.snap(&mut self.stall_until)?;
+        c.snap(&mut self.ops)?;
+        c.snap(&mut self.block_accesses)?;
+        c.snap(&mut self.events_dispatched)?;
+        c.snap(&mut self.violations)?;
+        c.snap(&mut self.aborted)?;
+        c.snap(&mut self.abort_reason)?;
+        c.snap(&mut self.accel_disabled)?;
+        c.snap(&mut self.downgrades_done)?;
+        c.snap(&mut self.probes_attempted)?;
+        c.snap(&mut self.probes_blocked)?;
+        c.snap(&mut self.probes_succeeded)?;
+        c.snap(&mut self.rng)?;
+        c.snap(&mut self.iommu_port)?;
+        c.snap(&mut self.l2_port)?;
+        c.each(&mut self.cu_ports, "CU port count")?;
+        c.snap(&mut self.wb_queue)?;
+        c.snap(&mut self.l2_mshr)?;
+        c.snap(&mut self.tracer)?;
+        c.built_opt(&mut self.host, "host actor presence")?;
+        c.built_opt(&mut self.auditor, "auditor presence")?;
+        c.snap(&mut self.done_wfs)?;
+        c.snap(&mut self.fill_horizon)?;
+        c.snap(&mut self.pending_commits)?;
+        c.snap(&mut self.deferred_translates)?;
+        #[cfg(feature = "hotprof")]
+        c.snap(&mut self.event_counts)?;
+        #[cfg(not(feature = "hotprof"))]
+        c.snap(&mut [0u64; 4])?;
+        Ok(())
     }
 }
 

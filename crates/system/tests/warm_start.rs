@@ -93,12 +93,18 @@ fn fork_identity_through_a_trace_dir_restores_by_seeking() {
             let bytes = System::build_with_source(&c, &traces)
                 .expect("builds")
                 .snapshot_to(Cycle::new(cut), REV);
-            let before = traces.stats().skip_decoded;
+            let before = traces.stats();
             let mut restored = System::restore(&c, &bytes, REV, &traces).expect("restores");
-            let decoded = traces.stats().skip_decoded - before;
+            let decoded = traces.stats().skip_decoded - before.skip_decoded;
             assert!(
                 decoded > 0 && decoded <= (SEEK_EVERY - 1) * wfs,
                 "{safety:?} cut {cut}: restore decoded {decoded} ops for {wfs} wavefronts"
+            );
+            // The restore opens each stream once, in the build it reads over.
+            assert_eq!(
+                traces.stats().hits - before.hits,
+                wfs,
+                "{safety:?} cut {cut}: streams opened by one restore"
             );
             assert_eq!(
                 want,
@@ -261,6 +267,140 @@ fn restore_rejects_a_store_sized_unlike_its_kernel() {
                 Err(RestoreError::Snapshot(SnapError::BadValue(_)))
             ),
             "splice {i} restored"
+        );
+    }
+}
+
+/// The tiny, highly threaded Border Control-BCC bfs cell of the Fig. 4
+/// sweep (op cap 1 500; 38 128 cycles straight through).
+fn bfs_bcc() -> SystemConfig {
+    let mut c = tiny(SafetyModel::BorderControlBcc);
+    c.gpu_class = GpuClass::HighlyThreaded;
+    c.workload = "bfs".to_string();
+    c.max_ops_per_wavefront = Some(1_500);
+    c
+}
+
+/// `bytes` with the varint `old`, `skip` varints after the first `tag`,
+/// replaced by `new`.
+fn splice_field(bytes: &[u8], tag: &[u8; 4], skip: usize, old: u64, new: u64) -> Vec<u8> {
+    let mut at = bytes
+        .windows(tag.len())
+        .position(|w| w == tag)
+        .expect("section present")
+        + tag.len();
+    for _ in 0..skip {
+        at += bytes[at..]
+            .iter()
+            .position(|b| b & 0x80 == 0)
+            .expect("varint ends")
+            + 1;
+    }
+    let old = varint(old);
+    assert_eq!(
+        &bytes[at..at + old.len()],
+        old.as_slice(),
+        "{tag:?} field {skip}"
+    );
+    [&bytes[..at], &varint(new), &bytes[at + old.len()..]].concat()
+}
+
+/// The config a checkpoint carries for each component must be the one
+/// the restoring side built: an L2 or a BCC of another geometry or
+/// latency is refused, not run.
+#[test]
+fn restore_rejects_config_bytes_unlike_the_built_machine() {
+    let c = bfs_bcc();
+    let bytes = System::build(&c)
+        .expect("builds")
+        .snapshot_to(Cycle::new(12_709), REV);
+    let spliced = [
+        ("L2 ways", splice_field(&bytes, b"CACH", 1, 16, 8)),
+        ("BCC ways", splice_field(&bytes, b"BCC0", 2, 8, 16)),
+        ("BCC latency", splice_field(&bytes, b"BCC0", 3, 10, 15)),
+    ];
+    for (what, bad) in &spliced {
+        assert!(
+            matches!(
+                System::restore(&c, bad, REV, &LiveSynthesis),
+                Err(RestoreError::Snapshot(SnapError::BadValue(_)))
+            ),
+            "{what} splice restored"
+        );
+    }
+}
+
+/// Where the last `n` varints of `bytes` start (a varint ends at the
+/// first byte with the high bit clear, so they parse backwards too).
+fn last_varints(bytes: &[u8], n: usize) -> usize {
+    let mut at = bytes.len();
+    for _ in 0..n {
+        at -= 1;
+        while bytes[at - 1] & 0x80 != 0 {
+            at -= 1;
+        }
+    }
+    at
+}
+
+/// A pending event must name a slot the built machine has — a frontend,
+/// a wavefront of the CU that runs it, a block of an op — or the
+/// restore is refused instead of panicking the run.
+#[test]
+fn restore_rejects_pending_events_for_slots_the_machine_lacks() {
+    let c = bfs_bcc();
+    let components = c.effective_gpu_config().compute_units + 1;
+    let bytes = System::build(&c)
+        .expect("builds")
+        .snapshot_to(Cycle::new(u64::MAX / 2), REV);
+    // Past completion the calendar is empty: its count (0) sits right
+    // before the per-component sequence counters that end the bytes.
+    let calendar = last_varints(&bytes, components + 1) - 1;
+    assert_eq!(bytes[calendar], 0, "empty calendar");
+    let stage = |comp: usize, ev: &[&[u8]]| {
+        // One pending entry: component, cycle, source, sequence, then the
+        // event's tag and fields.
+        let entry = [&varint(comp as u64)[..], &varint(50_000), &[0, 0]].concat();
+        [
+            &bytes[..calendar],
+            &[1],
+            &entry,
+            &ev.concat(),
+            &bytes[calendar + 1..],
+        ]
+        .concat()
+    };
+    let back = components - 1;
+    let wf999 = varint(999);
+    let done = varint(50_000);
+    // WavefrontReady { cu: 0, wf: 0 } fits.
+    let fits = stage(0, &[&[0, 0, 0]]);
+    assert!(System::restore(&c, &fits, REV, &LiveSynthesis).is_ok());
+    let lacking = [
+        (
+            "WavefrontReady { cu: 0, wf: 999 }",
+            stage(0, &[&[0, 0], &wf999]),
+        ),
+        (
+            "BlockDone { wf: 999, .. }",
+            stage(0, &[&[10], &wf999, &[0], &done]),
+        ),
+        (
+            "L2Req { cu: 999, .. }",
+            stage(back, &[&[6], &wf999, &[0, 0, 0, 1]]),
+        ),
+        (
+            "BlockDone { block: 200, .. }",
+            stage(0, &[&[10, 0, 200], &done]),
+        ),
+    ];
+    for (what, bad) in &lacking {
+        assert!(
+            matches!(
+                System::restore(&c, bad, REV, &LiveSynthesis),
+                Err(RestoreError::Snapshot(SnapError::BadValue(_)))
+            ),
+            "{what} restored"
         );
     }
 }
