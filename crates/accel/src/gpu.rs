@@ -403,34 +403,13 @@ impl Gpu {
 /// that many ops with [`AccessStream::skip`], which a compiled trace
 /// answers by seeking. The `StreamSource` determinism contract makes
 /// this byte-exact: the built stream yields the same op sequence the
-/// original did. The config, the behavior and the shape (CU, wavefront,
-/// L1, TLB and L2 presence) come from the build.
+/// original did. The config and the behavior are fixed by the build that
+/// is read over; the shape (CU, wavefront, L1, TLB and L2 presence) is
+/// checked against it.
 mod snapshot_support {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{Behavior, ComputeUnit, Gpu, GpuConfig, Wavefront};
-
-    bc_sim::snap_enum!(Behavior, "accelerator behavior",
-        0 => Correct, 1 => BuggyStaleTlb, 2 => Malicious { probe_period, probe_writes });
-
-    impl Snap for GpuConfig {
-        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.snap(&mut self.compute_units)?;
-            c.snap(&mut self.wavefronts_per_cu)?;
-            c.snap(&mut self.has_l1)?;
-            c.snap(&mut self.l1_bytes)?;
-            c.snap(&mut self.l1_ways)?;
-            c.snap(&mut self.l1_latency)?;
-            c.snap(&mut self.has_l2)?;
-            c.snap(&mut self.l2_bytes)?;
-            c.snap(&mut self.l2_ways)?;
-            c.snap(&mut self.l2_latency)?;
-            c.snap(&mut self.has_l1_tlb)?;
-            c.snap(&mut self.l1_tlb_entries)?;
-            c.snap(&mut self.trusted_distance_penalty)?;
-            c.snap(&mut self.block_bytes)
-        }
-    }
+    use super::{ComputeUnit, Gpu, Wavefront};
 
     /// A `done` wavefront is NOT necessarily at stream exhaustion: an op
     /// cap or a device fence (violation policy) marks it done with ops
@@ -463,8 +442,6 @@ mod snapshot_support {
     impl Snap for Gpu {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"GPU0")?;
-            c.built(&self.config, "GPU config")?;
-            c.built(&self.behavior, "accelerator behavior")?;
             c.each(&mut self.cus, "GPU compute-unit count")?;
             c.built_opt(&mut self.l2, "L2 presence")?;
             c.snap(&mut self.probe_rng)?;

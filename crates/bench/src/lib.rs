@@ -1,20 +1,15 @@
 //! Criterion benchmark harness for the Border Control reproduction.
 //!
-//! Three bench suites live under `benches/`:
+//! The benches under `benches/` measure host cost, never simulated
+//! results (the `bc-experiments` binaries print those):
 //!
 //! * `engine` — microbenchmarks of the hardware structures themselves
 //!   (Protection Table, BCC, caches, TLBs, page-table walks, the event
 //!   queue), establishing the simulator's own performance envelope.
-//! * `figures` — one group per paper figure/table: each benchmark runs
-//!   the full-system configuration that regenerates that result (the
-//!   printable rows come from the `bc-experiments` binaries; the benches
-//!   keep regeneration cost measured and regressions visible).
-//! * `ablations` — the design-choice studies DESIGN.md calls out:
-//!   parallel vs serialized read checks, full-flush vs selective
-//!   downgrades, BCC subblocking, and Protection Table latency
-//!   sensitivity.
+//! * `sweep`, `flush`, `shard`, `tenants`, `serve` and `trace` — each
+//!   writes one `BENCH_*.json` trajectory.
 //!
-//! Shared helpers for those suites are exported here, and [`validate`]
+//! Shared helpers for those benches are exported here, and [`validate`]
 //! holds the numeric rules every emitted `BENCH_*.json` must satisfy
 //! (run by `tests/bench_json.rs` locally and in CI).
 
@@ -24,9 +19,6 @@
 pub mod validate;
 
 use std::path::{Path, PathBuf};
-
-use bc_system::{GpuClass, SafetyModel, System, SystemConfig};
-use bc_workloads::WorkloadSize;
 
 /// Whether this invocation is a quick smoke pass: `BENCH_QUICK=1` in the
 /// environment, or the `--test` flag `cargo test` passes to harnessless
@@ -91,28 +83,6 @@ pub fn emit_trajectory(file_name: &str, quick: bool, json: &str) {
     }
 }
 
-/// A fast-running full-system configuration for benches.
-#[must_use]
-pub fn bench_config(safety: SafetyModel, workload: &str) -> SystemConfig {
-    let mut c = SystemConfig::table3_defaults();
-    c.safety = safety;
-    c.gpu_class = GpuClass::ModeratelyThreaded;
-    c.workload = workload.to_string();
-    c.size = WorkloadSize::Tiny;
-    c.max_ops_per_wavefront = Some(500);
-    c
-}
-
-/// Builds and runs one configuration, returning simulated cycles (used as
-/// a sanity check inside benches).
-#[must_use]
-pub fn run_cycles(config: &SystemConfig) -> u64 {
-    System::build(config)
-        .expect("bench config builds")
-        .run()
-        .cycles
-}
-
 /// The `q`-quantile of an ascending-sorted sample set, by nearest-rank on
 /// `(n - 1) * q` (the convention `BENCH_sweep.json` records cell latency
 /// percentiles with). Returns 0 for an empty slice.
@@ -128,12 +98,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_config_is_fast_and_valid() {
-        let cycles = run_cycles(&bench_config(SafetyModel::BorderControlBcc, "nn"));
-        assert!(cycles > 0);
-    }
 
     /// The clobber guard: a quick pass without `$BENCH_OUT` must never
     /// route to a committed trajectory file, in any combination.

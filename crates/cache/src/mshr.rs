@@ -147,8 +147,8 @@ impl MshrTable {
 }
 
 /// Snapshot codec: the outstanding map (already sorted by block index)
-/// is the exact state; the capacity comes from the build, and the
-/// completion-time index is derived and rebuilt.
+/// is the exact state; the capacity is fixed by the build that is read
+/// over, and the completion-time index is derived and rebuilt.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
@@ -157,7 +157,6 @@ mod snap_impls {
     impl Snap for MshrTable {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"MSHR")?;
-            c.built(&self.capacity, "MSHR capacity")?;
             c.snap(&mut self.outstanding)?;
             c.snap(&mut self.merges)?;
             c.snap(&mut self.stalls)?;

@@ -182,19 +182,6 @@ pub struct Cache {
     index_armed: bool,
     /// Recycled slot lists, so steady-state index churn never allocates.
     spare_lists: Vec<Vec<u32>>,
-    #[cfg(feature = "hotprof")]
-    prof: CacheProfile,
-}
-
-/// Hot-path profile counters (compiled in under the `hotprof` feature).
-#[cfg(feature = "hotprof")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheProfile {
-    /// Page flushes performed.
-    pub page_flushes: u64,
-    /// Total lines visited across all page flushes (with the resident
-    /// index this equals lines actually evicted, not sets × ways).
-    pub flush_scan_lines: u64,
 }
 
 impl Cache {
@@ -217,16 +204,7 @@ impl Cache {
             page_index: FxHashMap::default(),
             index_armed: false,
             spare_lists: Vec::new(),
-            #[cfg(feature = "hotprof")]
-            prof: CacheProfile::default(),
         }
-    }
-
-    /// Hot-path profile counters.
-    #[cfg(feature = "hotprof")]
-    #[must_use]
-    pub fn profile(&self) -> CacheProfile {
-        self.prof
     }
 
     /// Records `slot` as caching a block of page `ppn`.
@@ -470,21 +448,12 @@ impl Cache {
             }
         }
         let Some(mut slots) = self.page_index.remove(&ppn.as_u64()) else {
-            #[cfg(feature = "hotprof")]
-            {
-                self.prof.page_flushes += 1;
-            }
             return;
         };
         // The index records fill order; the legacy scan emitted set-major,
         // way-ascending — i.e. ascending flat slot. Sort to preserve the
         // exact eviction (and thus writeback-timing) order.
         slots.sort_unstable();
-        #[cfg(feature = "hotprof")]
-        {
-            self.prof.page_flushes += 1;
-            self.prof.flush_scan_lines += slots.len() as u64;
-        }
         for &slot in &slots {
             let line = self.lines[slot as usize];
             debug_assert!(line.valid, "page index held an invalid slot");
@@ -578,8 +547,9 @@ impl Cache {
 
 /// Snapshot codec: the tag store is serialized positionally (victim
 /// choice scans ways in order, so which way holds a line is behavioral),
-/// along with the use clock, replacement RNG and counters; the config
-/// comes from the build. The line counts are recounted on restore. The
+/// along with the use clock, replacement RNG and counters; the config is
+/// fixed by the build that is read over. The line counts are recounted on
+/// restore. The
 /// resident-page index, its armed flag and the spare lists are
 /// rebuild-on-demand amortization: a restored cache re-arms on its first
 /// selective flush and emits evictions in the same sorted-slot order
@@ -587,25 +557,11 @@ impl Cache {
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{Cache, CacheConfig, Replacement, WritePolicy};
-
-    bc_sim::snap_enum!(WritePolicy, "write policy", 0 => WriteBack, 1 => WriteThrough);
-    bc_sim::snap_enum!(Replacement, "replacement policy", 0 => Lru, 1 => Random);
-
-    impl Snap for CacheConfig {
-        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.snap(&mut self.size_bytes)?;
-            c.snap(&mut self.ways)?;
-            c.snap(&mut self.block_bytes)?;
-            c.snap(&mut self.write_policy)?;
-            c.snap(&mut self.replacement)
-        }
-    }
+    use super::Cache;
 
     impl Snap for Cache {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"CACH")?;
-            c.built(&self.config, "cache config")?;
             for line in self.lines.iter_mut() {
                 c.snap(&mut line.valid)?;
                 if line.valid {

@@ -351,19 +351,13 @@ impl Tlb {
 
 /// Snapshot codec: both slot arrays are serialized positionally (victim
 /// choice takes the first invalid way, so slot positions are
-/// behavioral); the config comes from the build, and the point-lookup
-/// index and huge-slot count are derived and rebuilt on restore.
+/// behavioral); the config is fixed by the build that is read over, and
+/// the point-lookup index and huge-slot count are derived and rebuilt on
+/// restore.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{key_of, Slot, Tlb, TlbConfig, TlbEntry};
-
-    impl Snap for TlbConfig {
-        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.snap(&mut self.entries)?;
-            c.snap(&mut self.ways)
-        }
-    }
+    use super::{key_of, Slot, Tlb, TlbEntry};
 
     bc_sim::snap_struct!(TlbEntry: asid, vpn, ppn, perms, size);
 
@@ -381,7 +375,6 @@ mod snap_impls {
     impl Snap for Tlb {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"TLB0")?;
-            c.built(&self.config, "TLB config")?;
             self.slots.iter_mut().try_for_each(|s| s.snap(c))?;
             c.snap(&mut self.huge)?;
             c.snap(&mut self.clock)?;

@@ -404,26 +404,16 @@ impl Bcc {
 
 /// Snapshot codec. Entries are saved *positionally* (fill scans for the
 /// first invalid way, so which slot holds which entry is behavioral);
-/// the config comes from the build, and `occupancy` is recounted from
-/// the restored valid bits.
+/// the config is fixed by the build that is read over, and `occupancy`
+/// is recounted from the restored valid bits.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{Bcc, BccConfig};
-
-    impl Snap for BccConfig {
-        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.snap(&mut self.entries)?;
-            c.snap(&mut self.pages_per_entry)?;
-            c.snap(&mut self.ways)?;
-            c.snap(&mut self.latency)
-        }
-    }
+    use super::Bcc;
 
     impl Snap for Bcc {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"BCC0")?;
-            c.built(&self.config, "BCC config")?;
             for e in self.entries.iter_mut() {
                 c.snap(&mut e.valid)?;
                 if e.valid {

@@ -600,30 +600,17 @@ impl BorderControl {
 
 /// Snapshot codec: everything an engine holds is exact state — registers,
 /// BCC contents, use counts, port calendar, counters, and any recorded
-/// border-crossing stream — except its id, config and whether it has a
-/// BCC, which come from the build.
+/// border-crossing stream — except its id and config, fixed by the build
+/// that is read over, and whether it has a BCC, which is checked against
+/// that build.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{BorderControl, BorderControlConfig, FlushPolicy};
-
-    bc_sim::snap_enum!(FlushPolicy: Default, "flush policy", 0 => FullFlush, 1 => Selective);
-
-    impl Snap for BorderControlConfig {
-        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.snap(&mut self.bcc)?;
-            c.snap(&mut self.parallel_read_check)?;
-            c.snap(&mut self.flush_policy)?;
-            c.snap(&mut self.check_occupancy)?;
-            c.snap(&mut self.record_stream)
-        }
-    }
+    use super::BorderControl;
 
     impl Snap for BorderControl {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"BCTL")?;
-            c.built(&self.accel_id, "accelerator id")?;
-            c.built(&self.config, "Border Control config")?;
             c.snap(&mut self.table)?;
             c.snap(&mut self.table_pages)?;
             c.built_opt(&mut self.bcc, "BCC presence")?;

@@ -174,10 +174,6 @@ mod reference {
         pub fn snap_bytes(&self) -> Vec<u8> {
             let mut w = SnapWriter::new();
             w.section(*b"BCC0");
-            w.usize(self.config.entries);
-            w.u64(self.config.pages_per_entry);
-            w.usize(self.config.ways);
-            w.u64(self.config.latency);
             for e in &self.entries {
                 w.bool(e.valid);
                 if e.valid {

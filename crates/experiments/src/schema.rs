@@ -43,8 +43,7 @@ use bc_mem::{DramConfig, MemBackend};
 use bc_os::ViolationPolicy;
 use bc_sim::audit::{AuditFinding, AuditKind, AuditReport};
 use bc_system::{
-    AbortReason, GpuClass, HostActivityConfig, HotProfile, RunReport, SafetyModel, SystemConfig,
-    TenantsReport,
+    AbortReason, GpuClass, HostActivityConfig, RunReport, SafetyModel, SystemConfig, TenantsReport,
 };
 use bc_workloads::WorkloadSize;
 
@@ -282,28 +281,16 @@ fn audit_json(a: &AuditReport) -> String {
     ])
 }
 
-fn hot_profile_json(hp: &HotProfile) -> String {
-    let (wr, io, dg, ct) = hp.event_counts;
-    json::object(&[
-        ("event_counts", json::array(&[wr, io, dg, ct])),
-        ("store_fast_hits", hp.store_fast_hits.to_string()),
-        ("store_slow_hits", hp.store_slow_hits.to_string()),
-        ("page_flushes", hp.page_flushes.to_string()),
-        ("flush_scan_lines", hp.flush_scan_lines.to_string()),
-    ])
-}
-
 /// Encodes a [`RunReport`] in canonical form: the format the golden
 /// snapshots under `tests/goldens/` pin byte for byte, and the payload
 /// `bc-serve` files under each cell's key ([`decode_report`] is the
 /// inverse). Fields follow the struct's order except `events`, which
 /// precedes `block_accesses`. `violations` is omitted (`violation_count`
-/// carries the count), and `hot_profile` is written only when present,
-/// so default-feature reports never carry it.
+/// carries the count).
 #[must_use]
 pub fn encode_report(r: &RunReport) -> String {
     let (attempted, blocked, succeeded) = r.probes;
-    let mut fields = vec![
+    json::document(&[
         ("safety", json::quote(&r.safety)),
         ("workload", json::quote(&r.workload)),
         ("gpu_class", json::quote(&r.gpu_class)),
@@ -342,11 +329,7 @@ pub fn encode_report(r: &RunReport) -> String {
             json::nullable(r.host.map(|(a, b, c)| json::array(&[a, b, c]))),
         ),
         ("audit", json::nullable(r.audit.as_ref().map(audit_json))),
-    ];
-    if let Some(hp) = &r.hot_profile {
-        fields.push(("hot_profile", hot_profile_json(hp)));
-    }
-    json::document(&fields)
+    ])
 }
 
 /// Encodes a [`TenantsReport`] in canonical form: one field per line in
@@ -460,18 +443,6 @@ impl<'a> Obj<'a> {
         Err(SchemaError::Missing {
             field: self.field_path(key),
         })
-    }
-
-    /// Like [`Obj::get`] but absent is `None` (report-side optional
-    /// fields such as `hot_profile`).
-    fn get_opt(&mut self, key: &'static str) -> Option<&'a Value> {
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if k == key {
-                self.used[i] = true;
-                return Some(v);
-            }
-        }
-        None
     }
 
     fn u64(&mut self, key: &'static str) -> Result<u64, SchemaError> {
@@ -769,34 +740,6 @@ fn decode_audit(v: &Value) -> Result<Option<AuditReport>, SchemaError> {
     }))
 }
 
-fn decode_hot_profile(v: &Value) -> Result<HotProfile, SchemaError> {
-    let mut obj = Obj::new("hot_profile", v)?;
-    let counts_value = obj.get("event_counts")?;
-    let err = || SchemaError::WrongType {
-        field: "hot_profile.event_counts".to_string(),
-        want: "an array of four unsigned integers",
-    };
-    let Value::Array(items) = counts_value else {
-        return Err(err());
-    };
-    if items.len() != 4 {
-        return Err(err());
-    }
-    let mut counts = [0u64; 4];
-    for (slot, item) in counts.iter_mut().zip(items) {
-        *slot = item.as_u64().ok_or_else(err)?;
-    }
-    let out = HotProfile {
-        event_counts: (counts[0], counts[1], counts[2], counts[3]),
-        store_fast_hits: obj.u64("store_fast_hits")?,
-        store_slow_hits: obj.u64("store_slow_hits")?,
-        page_flushes: obj.u64("page_flushes")?,
-        flush_scan_lines: obj.u64("flush_scan_lines")?,
-    };
-    obj.finish()?;
-    Ok(out)
-}
-
 /// Decodes a serialized report ([`encode_report`] / the golden snapshot
 /// format) back into a [`RunReport`]. The `violations` vector is not
 /// serialized and decodes empty; `violation_count` carries the count.
@@ -875,10 +818,6 @@ pub fn decode_report(text: &str) -> Result<RunReport, SchemaError> {
         }
     };
     let audit = decode_audit(obj.get("audit")?)?;
-    let hot_profile = match obj.get_opt("hot_profile") {
-        None => None,
-        Some(v) => Some(decode_hot_profile(v)?),
-    };
     obj.finish()?;
 
     Ok(RunReport {
@@ -909,7 +848,6 @@ pub fn decode_report(text: &str) -> Result<RunReport, SchemaError> {
         probes,
         host,
         audit,
-        hot_profile,
     })
 }
 
@@ -1080,7 +1018,6 @@ mod tests {
             probes: (0, 0, 0),
             host: None,
             audit: None,
-            hot_profile: None,
         }
     }
 
@@ -1114,8 +1051,7 @@ mod tests {
         assert!(j.contains("\"dram_utilization\": 0.5"), "{j}");
         assert!(j.contains("\"kind\": \"event-in-past\""), "{j}");
         assert!(j.contains("\"detail\": \"line1\\nline2\""), "{j}");
-        // The strict parser reads back what the writer escaped, and a
-        // default-feature report carries no hot_profile.
+        // The strict parser reads back what the writer escaped.
         let v = json::parse(&j).expect("encoded report is JSON");
         assert_eq!(v.get("workload").and_then(Value::as_str), Some("n\"n\\x"));
         let detail = match v.get("audit").and_then(|a| a.get("findings")) {
@@ -1123,7 +1059,16 @@ mod tests {
             other => panic!("findings: {other:?}"),
         };
         assert_eq!(detail, Some("line1\nline2"));
-        assert_eq!(v.get("hot_profile"), None);
+        // A field the report does not define, such as the hot-path
+        // profile an earlier build could append, is refused.
+        let body = j.strip_suffix("\n}\n").expect("document ends its object");
+        let profiled = format!("{body},\n  \"hot_profile\": null\n}}\n");
+        assert_eq!(
+            decode_report(&profiled).err(),
+            Some(SchemaError::UnknownField {
+                field: "hot_profile".to_string()
+            })
+        );
     }
 
     #[test]

@@ -15,9 +15,7 @@ use bc_experiments::schema::{self, SchemaError};
 use bc_mem::MemBackend;
 use bc_os::ViolationPolicy;
 use bc_sim::audit::{AuditFinding, AuditKind, AuditReport};
-use bc_system::{
-    AbortReason, GpuClass, HostActivityConfig, HotProfile, RunReport, SafetyModel, SystemConfig,
-};
+use bc_system::{AbortReason, GpuClass, HostActivityConfig, RunReport, SafetyModel, SystemConfig};
 use bc_workloads::WorkloadSize;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -181,24 +179,6 @@ fn audit_strategy() -> impl Strategy<Value = AuditReport> {
     })
 }
 
-fn hot_profile_strategy() -> impl Strategy<Value = HotProfile> {
-    (
-        (count(), count(), count(), count()),
-        (count(), count(), count(), count()),
-    )
-        .prop_map(
-            |(event_counts, (store_fast_hits, store_slow_hits, page_flushes, flush_scan_lines))| {
-                HotProfile {
-                    event_counts,
-                    store_fast_hits,
-                    store_slow_hits,
-                    page_flushes,
-                    flush_scan_lines,
-                }
-            },
-        )
-}
-
 /// An arbitrary report: every `Option` both ways, every abort reason,
 /// u64 extremes, awkward float ratios and hostile strings. `violations`
 /// stays empty — the canonical form omits it.
@@ -221,12 +201,7 @@ fn report_strategy() -> impl Strategy<Value = RunReport> {
         maybe(pair()),
         maybe(pair()),
     );
-    let extras = (
-        triple(),
-        maybe(triple()),
-        maybe(audit_strategy()),
-        maybe(hot_profile_strategy()),
-    );
+    let extras = (triple(), maybe(triple()), maybe(audit_strategy()));
     (labels, counts, pairs, extras).prop_map(
         |(
             ((safety, workload, gpu_class), abort, aborted, accel_disabled, (num, den)),
@@ -241,7 +216,7 @@ fn report_strategy() -> impl Strategy<Value = RunReport> {
                 l2,
                 l1_tlb,
             ),
-            (probes, host, audit, hot_profile),
+            (probes, host, audit),
         )| RunReport {
             safety,
             workload,
@@ -270,7 +245,6 @@ fn report_strategy() -> impl Strategy<Value = RunReport> {
             probes,
             host,
             audit,
-            hot_profile,
         },
     )
 }

@@ -382,28 +382,16 @@ impl Ats {
 /// Snapshot codec: the IOTLB and walker calendars carry their own
 /// codecs; the page-walk cache vector is saved in slot order (lookup is
 /// exact-match and eviction is min-by-clock, but `swap_remove` makes the
-/// slot order part of the exact state anyway). The config comes from the
-/// build.
+/// slot order part of the exact state anyway). The config is fixed by
+/// the build that is read over.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{Ats, AtsConfig};
-
-    impl Snap for AtsConfig {
-        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.snap(&mut self.iotlb_entries)?;
-            c.snap(&mut self.iotlb_ways)?;
-            c.snap(&mut self.iotlb_latency)?;
-            c.snap(&mut self.walkers)?;
-            c.snap(&mut self.pwc_entries)?;
-            c.snap(&mut self.fault_latency)
-        }
-    }
+    use super::Ats;
 
     impl Snap for Ats {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"ATS0")?;
-            c.built(&self.config, "ATS config")?;
             c.snap(&mut self.iotlb)?;
             c.snap(&mut self.walker_ports)?;
             c.snap(&mut self.pwc)?;

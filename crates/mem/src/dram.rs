@@ -267,28 +267,16 @@ impl Dram {
     }
 }
 
-/// Snapshot codecs: the device's exact state is its channel calendars
-/// plus two counters; its config comes from the build.
+/// Snapshot codec: the device's exact state is its channel calendars
+/// plus two counters; its config is fixed by the build that is read over.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{Dram, DramConfig, MemBackend};
-
-    bc_sim::snap_enum!(MemBackend: Default, "memory backend", 0 => LocalDram, 1 => CxlPool);
-
-    impl Snap for DramConfig {
-        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.snap(&mut self.access_latency)?;
-            c.snap(&mut self.service_per_block)?;
-            c.snap(&mut self.channels)?;
-            c.snap(&mut self.backend)
-        }
-    }
+    use super::Dram;
 
     impl Snap for Dram {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"DRAM")?;
-            c.built(&self.config, "DRAM config")?;
             c.snap(&mut self.channels)?;
             c.snap(&mut self.reads)?;
             c.snap(&mut self.writes)

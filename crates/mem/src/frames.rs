@@ -183,8 +183,8 @@ impl FrameAllocator {
 
 /// Snapshot codec: the allocator's books are its exact state — cursor,
 /// LIFO free list (order preserved: it determines future allocation
-/// addresses), and the allocated count. The frame count comes from the
-/// build.
+/// addresses), and the allocated count. The frame count is config, fixed
+/// by the build that is read over.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
@@ -193,7 +193,6 @@ mod snap_impls {
     impl Snap for FrameAllocator {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"FRAM")?;
-            c.built(&self.total_frames, "frame allocator size")?;
             c.snap(&mut self.cursor)?;
             c.snap(&mut self.free_list)?;
             c.snap(&mut self.allocated)?;

@@ -80,21 +80,6 @@ pub struct PhysMemStore {
     /// appended to `accel_writes` for the audit layer to drain.
     log_accel_writes: bool,
     accel_writes: Vec<Ppn>,
-    /// `Cell`s so `&self` read paths can count without threading `&mut`.
-    #[cfg(feature = "hotprof")]
-    prof_fast_hits: std::cell::Cell<u64>,
-    #[cfg(feature = "hotprof")]
-    prof_slow_hits: std::cell::Cell<u64>,
-}
-
-/// Hot-path profile counters (compiled in under the `hotprof` feature).
-#[cfg(feature = "hotprof")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StoreProfile {
-    /// Page lookups served by the dense slot table.
-    pub fast_hits: u64,
-    /// Page lookups that fell back to the sparse map.
-    pub slow_hits: u64,
 }
 
 /// Who issued a functional-memory write. The timing model does not care,
@@ -172,18 +157,9 @@ impl PhysMemStore {
     fn page_ref(&self, ppn: Ppn) -> Option<&[u8]> {
         let idx = usize::try_from(ppn.as_u64()).unwrap_or(usize::MAX);
         match self.slots.get(idx) {
-            Some(&NO_SLOT) => {
-                self.prof_fast();
-                None
-            }
-            Some(&slot) => {
-                self.prof_fast();
-                Some(self.slot_page(slot))
-            }
-            None => {
-                self.prof_slow();
-                self.sparse.get(&ppn).map(|p| &p[..])
-            }
+            Some(&NO_SLOT) => None,
+            Some(&slot) => Some(self.slot_page(slot)),
+            None => self.sparse.get(&ppn).map(|p| &p[..]),
         }
     }
 
@@ -191,7 +167,6 @@ impl PhysMemStore {
     fn page_mut(&mut self, ppn: Ppn) -> &mut [u8] {
         let idx = usize::try_from(ppn.as_u64()).unwrap_or(usize::MAX);
         if let Some(slot) = self.slots.get(idx).copied() {
-            self.prof_fast();
             let slot = if slot == NO_SLOT {
                 let s = self.materialize_slot();
                 self.slots[idx] = s;
@@ -202,7 +177,6 @@ impl PhysMemStore {
             };
             self.slot_page_mut(slot)
         } else {
-            self.prof_slow();
             self.sparse
                 .entry(ppn)
                 .or_insert_with(|| vec![0u8; PAGE].into_boxed_slice())
@@ -241,28 +215,6 @@ impl PhysMemStore {
                 self.arena_slots += 1;
                 u32::try_from(self.arena_slots).expect("arena under 16 TiB")
             }
-        }
-    }
-
-    #[inline]
-    fn prof_fast(&self) {
-        #[cfg(feature = "hotprof")]
-        self.prof_fast_hits.set(self.prof_fast_hits.get() + 1);
-    }
-
-    #[inline]
-    fn prof_slow(&self) {
-        #[cfg(feature = "hotprof")]
-        self.prof_slow_hits.set(self.prof_slow_hits.get() + 1);
-    }
-
-    /// Hot-path profile counters.
-    #[cfg(feature = "hotprof")]
-    #[must_use]
-    pub fn profile(&self) -> StoreProfile {
-        StoreProfile {
-            fast_hits: self.prof_fast_hits.get(),
-            slow_hits: self.prof_slow_hits.get(),
         }
     }
 
@@ -364,9 +316,10 @@ impl PhysMemStore {
 /// Snapshot codec: stored pages (dense tier ascending by frame, then
 /// sparse tier ascending by page number) with their full 4 KiB contents,
 /// plus the accelerator-write log. The frame count and whether writes are
-/// logged come from the build. Arena slot numbers and the free-slot list
-/// are layout, not state — a restored store re-packs pages into fresh
-/// slots with identical read/write semantics.
+/// logged are config, not state: the build that is read over fixed them.
+/// Arena slot numbers and the free-slot list are layout, not state — a
+/// restored store re-packs pages into fresh slots with identical
+/// read/write semantics.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
@@ -377,7 +330,6 @@ mod snap_impls {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"PMEM")?;
             let frames = self.slots.len();
-            c.built(&frames, "store frame count")?;
             let mut dense: Vec<u64> = Vec::new();
             let mut sparse: Vec<u64> = Vec::new();
             if c.reading() {
@@ -406,7 +358,6 @@ mod snap_impls {
                     c.bytes(self.page_mut(Ppn::new(ppn)), "page size")?;
                 }
             }
-            c.built(&self.log_accel_writes, "accelerator write logging")?;
             c.snap(&mut self.accel_writes)
         }
     }

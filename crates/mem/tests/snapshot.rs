@@ -8,7 +8,7 @@ use bc_mem::page_table::PageTable;
 use bc_mem::perms::PagePerms;
 use bc_mem::store::{PhysMemStore, WriteOrigin};
 use bc_mem::FrameAllocator;
-use bc_sim::snapshot::{read_into, to_bytes, Snap, SnapError, SnapWriter};
+use bc_sim::snapshot::{read_into, to_bytes, Snap, SnapError};
 use bc_sim::Cycle;
 
 /// Writes `v`, then reads the bytes over the value `build` makes the
@@ -28,26 +28,11 @@ fn store_round_trip_preserves_contents_and_tiers() {
     m.set_accel_write_logging(true);
     m.write_as(WriteOrigin::Accelerator, PhysAddr::new(0x2000), b"logged");
 
-    let built = |frames| {
-        let mut store = PhysMemStore::with_frames(frames);
+    let r = round_trip(&mut m, |_| {
+        let mut store = PhysMemStore::with_frames(16);
         store.set_accel_write_logging(true);
         store
-    };
-    let bytes = to_bytes(&mut m);
-    let r = round_trip(&mut m, |_| built(16));
-    // The owner's frame count must match the recorded one. A 2^36-frame
-    // owner is not built (its slot table alone would be 256 GiB): that
-    // case is a 2^36-frame record read over the 16-frame owner.
-    let mut huge = SnapWriter::new();
-    huge.section(*b"PMEM");
-    huge.u64(1 << 36);
-    let huge = [huge.into_bytes(), bytes[4 + 1..].to_vec()].concat();
-    for (frames, bytes) in [(15, &bytes), (17, &bytes), (16, &huge)] {
-        assert!(matches!(
-            read_into(bytes, &mut built(frames)),
-            Err(SnapError::BadValue(_))
-        ));
-    }
+    });
     assert_eq!(r.resident_pages(), m.resident_pages());
     for addr in [0x1ff0, 0x2000, 0x3000, 100 * PAGE_SIZE + 5] {
         assert_eq!(

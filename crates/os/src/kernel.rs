@@ -791,23 +791,16 @@ impl Kernel {
 /// `BTreeMap`s iterate sorted, giving deterministic bytes; the shared
 /// frame refcounts live in an `FxHashMap` (unspecified iteration order),
 /// so their keys are sorted before emission. The config, and with it the
-/// frame allocator's and the store's frame counts, comes from the build.
+/// frame allocator's and the store's frame counts, is fixed by the build
+/// that is read over.
 mod snap_impls {
     use bc_sim::snapshot::{Codec, Snap, SnapError};
 
-    use super::{Kernel, KernelConfig};
-
-    impl Snap for KernelConfig {
-        fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.snap(&mut self.phys_bytes)?;
-            c.snap(&mut self.violation_policy)
-        }
-    }
+    use super::Kernel;
 
     impl Snap for Kernel {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"KRNL")?;
-            c.built(&self.config, "kernel config")?;
             c.snap(&mut self.frames)?;
             c.snap(&mut self.store)?;
             c.snap(&mut self.processes)?;

@@ -98,12 +98,10 @@ impl ViolationPolicy {
 
 /// Snapshot codecs for the violation report types.
 mod snap_impls {
-    use super::{Violation, ViolationKind, ViolationPolicy};
+    use super::{Violation, ViolationKind};
 
     bc_sim::snap_enum!(ViolationKind, "violation kind",
         0 => ReadWithoutPermission, 1 => WriteWithoutPermission, 2 => OutOfBounds);
-    bc_sim::snap_enum!(ViolationPolicy: Default, "violation policy",
-        0 => KillProcess, 1 => DisableAccelerator, 2 => LogOnly);
 
     bc_sim::snap_struct!(Violation: accel_id, asid, ppn, kind, at);
 }

@@ -490,7 +490,9 @@ impl Auditor {
 /// it is sorted by page before emission to keep snapshot bytes
 /// deterministic; restore reinserts in sorted order, which is fine — map
 /// iteration order never reaches behavior (every query is keyed). Fatal
-/// mode and the writeback depth come from the build.
+/// mode and the writeback depth are config: the restoring build fixes
+/// both, so a checkpoint written by a debug build restores under a
+/// release build and the reverse.
 mod snap_impls {
     use crate::snapshot::{Codec, Snap, SnapError};
 
@@ -513,11 +515,9 @@ mod snap_impls {
     impl Snap for Auditor {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
             c.section(*b"AUDT")?;
-            c.built(&self.fatal, "auditor mode")?;
             c.snap(&mut self.report)?;
             c.snap(&mut self.granted)?;
             c.snap(&mut self.oracle_bounds)?;
-            c.built(&self.wb_capacity, "auditor writeback depth")?;
             c.snap(&mut self.last_stall)
         }
     }

@@ -10,7 +10,10 @@
 //! strings), plus the [`Snap`] trait that state-bearing types implement
 //! in their owning crates: one description per type, run by a [`Codec`]
 //! that either writes the state or reads it back over the machine the
-//! restoring side built.
+//! restoring side built. A snapshot holds run state only: the
+//! configuration that fixed the machine is the caller's, and a restoring
+//! caller proves it equal to the writer's once, before any component is
+//! read (`bc_system`'s warm key).
 //!
 //! # Identity contract
 //!
@@ -38,8 +41,9 @@ use std::hash::Hash;
 /// Snapshot container tag: "BCSS" (Border Control System Snapshot).
 pub const MAGIC: [u8; 4] = *b"BCSS";
 
-/// Snapshot format version. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+/// Snapshot format version. Bump on any layout change. Version 2 carries
+/// run state only; version 1 also carried each component's config.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Reasons a snapshot cannot be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -411,10 +415,11 @@ impl<'a> SnapReader<'a> {
 ///
 /// Reading never builds a component. A restoring caller (`bc_system`'s
 /// `System::restore`) builds the machine from its trusted configuration
-/// first and reads over it: config, geometry and fixed lengths come from
-/// that skeleton and are only checked ([`Codec::built`]), while dynamic
-/// contents (queues, maps, pending events) carry counts bounded by the
-/// bytes left ([`Codec::count`]).
+/// first and reads over it: config and geometry come from that skeleton
+/// and are not written at all, fixed lengths and optional parts are
+/// written and checked against it ([`Codec::each`], [`Codec::built_opt`]),
+/// while dynamic contents (queues, maps, pending events) carry counts
+/// bounded by the bytes left ([`Codec::count`]).
 pub trait Snap {
     /// Writes this value's exact state, or reads it over this value.
     ///
@@ -484,15 +489,10 @@ impl Codec<'_> {
         v.snap(self)
     }
 
-    /// A value the build fixed (a config, a geometry, a length, whether
-    /// an optional part exists): written out, or read and refused unless
-    /// it equals the built one.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::BadValue`]`(what)` when the bytes disagree with the
-    /// built value; read errors otherwise.
-    pub fn built<T: Snap + Clone + PartialEq>(
+    /// A value the build fixed (a length, whether an optional part
+    /// exists): written out, or read and refused unless it equals the
+    /// built one.
+    fn built<T: Snap + Clone + PartialEq>(
         &mut self,
         v: &T,
         what: &'static str,
@@ -507,11 +507,13 @@ impl Codec<'_> {
     }
 
     /// An optional part the build made or left out: its presence is
-    /// [`built`](Self::built), its state described.
+    /// written, or read and refused unless it matches the build; then its
+    /// state is described.
     ///
     /// # Errors
     ///
-    /// As [`built`](Self::built), then the part's own errors.
+    /// [`SnapError::BadValue`]`(what)` when the presence read disagrees
+    /// with the build, then the part's own errors.
     pub fn built_opt<T: Snap>(
         &mut self,
         v: &mut Option<T>,
@@ -521,12 +523,14 @@ impl Codec<'_> {
         v.as_mut().map_or(Ok(()), |v| v.snap(self))
     }
 
-    /// A sequence of the length the build fixed: the length is
-    /// [`built`](Self::built), then each element is described in place.
+    /// A sequence of the length the build fixed: the length is written,
+    /// or read and refused unless it equals the built one; then each
+    /// element is described in place.
     ///
     /// # Errors
     ///
-    /// As [`built`](Self::built), then the elements' own errors.
+    /// [`SnapError::BadValue`]`(what)` when the length read disagrees
+    /// with the build, then the elements' own errors.
     pub fn each<T: Snap>(&mut self, v: &mut [T], what: &'static str) -> Result<(), SnapError> {
         self.built(&v.len(), what)?;
         v.iter_mut().try_for_each(|x| x.snap(self))
@@ -930,12 +934,19 @@ mod tests {
             SnapReader::with_header(b"XXXX\x01\x00\x00\x00", "rev-a"),
             Err(SnapError::BadMagic)
         ));
-        let mut bad_ver = bytes.clone();
-        bad_ver[4] = 99;
-        assert!(matches!(
-            SnapReader::with_header(&bad_ver, "rev-a"),
-            Err(SnapError::BadVersion { found: 99, .. })
-        ));
+        // A later format and the earlier one (whose components also
+        // carried their configs) are both refused.
+        for found in [99, FORMAT_VERSION - 1] {
+            let mut bad_ver = bytes.clone();
+            bad_ver[4..8].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                SnapReader::with_header(&bad_ver, "rev-a").err(),
+                Some(SnapError::BadVersion {
+                    found,
+                    expected: FORMAT_VERSION
+                })
+            );
+        }
     }
 
     #[test]

@@ -158,7 +158,8 @@ impl Tracer {
 
 /// Snapshot codecs. The ring order and drop counter are exact state
 /// (renders and future evictions depend on both); whether tracing is on
-/// and the ring's capacity come from the build.
+/// and the ring's capacity are config, fixed by the build that is read
+/// over.
 mod snap_impls {
     use crate::snapshot::{Codec, Snap, SnapError};
 
@@ -171,8 +172,6 @@ mod snap_impls {
 
     impl Snap for Tracer {
         fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
-            c.built(&self.enabled, "tracer enabled")?;
-            c.built(&self.capacity, "tracer capacity")?;
             c.snap(&mut self.events)?;
             c.snap(&mut self.dropped)
         }

@@ -195,8 +195,6 @@ pub(crate) struct Frontend {
     pub(crate) block_accesses: u64,
     pub(crate) events: u64,
     pub(crate) last_event: Cycle,
-    pub(crate) ev_ready: u64,
-    pub(crate) ev_issue: u64,
 }
 
 /// Run-wide constants shared by every frontend at construction.
@@ -242,8 +240,6 @@ impl Frontend {
             block_accesses: 0,
             events: 0,
             last_event: Cycle::ZERO,
-            ev_ready: 0,
-            ev_issue: 0,
         }
     }
 
@@ -264,12 +260,10 @@ impl Frontend {
         match ev {
             Event::WavefrontReady { wf, .. } => {
                 self.count(now);
-                self.ev_ready += 1;
                 self.ready(now, wf, out);
             }
             Event::IssueOp { wf, .. } => {
                 self.count(now);
-                self.ev_issue += 1;
                 self.issue(now, wf, out);
             }
             Event::TlbFill { entry } => {
@@ -650,9 +644,7 @@ mod snap_impls {
             c.snap(&mut self.ops)?;
             c.snap(&mut self.block_accesses)?;
             c.snap(&mut self.events)?;
-            c.snap(&mut self.last_event)?;
-            c.snap(&mut self.ev_ready)?;
-            c.snap(&mut self.ev_issue)
+            c.snap(&mut self.last_event)
         }
     }
 }

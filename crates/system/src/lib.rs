@@ -31,7 +31,7 @@ mod tenants;
 
 pub use config::{GpuClass, SystemConfig};
 pub use host::{CpuLookup, HostActivityConfig, HostCpu};
-pub use report::{AbortReason, HotProfile, RunReport};
+pub use report::{AbortReason, RunReport};
 pub use safety::{table1, SafetyModel, Table1Row};
 pub use system::{warm_key, BuildError, RestoreError, System};
 pub use tenants::{MultiTenantSystem, TenantsConfig, TenantsReport};

@@ -57,24 +57,6 @@ impl fmt::Display for AbortReason {
 
 bc_sim::snap_enum!(AbortReason, "abort reason", 0 => ViolationKill, 1 => CycleLimit, 2 => FatalOsError);
 
-/// Hot-path profile from a run, populated only when the `hotprof`
-/// feature is compiled in (the struct itself is always present so the
-/// report's shape does not depend on features).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HotProfile {
-    /// Scheduler dispatches by event kind:
-    /// (wavefront-ready, issue-op, downgrade, cpu-tick).
-    pub event_counts: (u64, u64, u64, u64),
-    /// Functional-store page lookups served by the dense slab.
-    pub store_fast_hits: u64,
-    /// Functional-store page lookups that fell back to the sparse map.
-    pub store_slow_hits: u64,
-    /// Selective page flushes across all accelerator caches.
-    pub page_flushes: u64,
-    /// Total lines visited by those flushes (resident-index scan work).
-    pub flush_scan_lines: u64,
-}
-
 /// The result of one full-system run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -139,11 +121,6 @@ pub struct RunReport {
     ///
     /// [`SystemConfig::audit`]: crate::SystemConfig::audit
     pub audit: Option<AuditReport>,
-    /// Hot-path profile, when built with the `hotprof` feature. `None`
-    /// otherwise; the canonical encoding (`bc_experiments::schema`)
-    /// omits the field entirely when absent so default-feature golden
-    /// reports are unaffected.
-    pub hot_profile: Option<HotProfile>,
 }
 
 impl RunReport {
@@ -220,12 +197,6 @@ impl RunReport {
             t.push("audit assertions", audit.assertions);
             t.push("audit findings", audit.findings.len());
         }
-        if let Some(hp) = &self.hot_profile {
-            t.push("store fast-path hits", hp.store_fast_hits);
-            t.push("store slow-path hits", hp.store_slow_hits);
-            t.push("page flushes", hp.page_flushes);
-            t.push("flush scan lines", hp.flush_scan_lines);
-        }
         t
     }
 }
@@ -263,7 +234,6 @@ mod tests {
             probes: (0, 0, 0),
             host: None,
             audit: None,
-            hot_profile: None,
         }
     }
 

@@ -181,10 +181,6 @@ pub(crate) struct Backend {
     /// window; served in arrival order once the commit lands, so their
     /// fills carry post-commit permissions.
     deferred_translates: Vec<(usize, Vpn)>,
-    /// Per-event-kind dispatch counts: wavefront-ready, issue-op,
-    /// downgrade, cpu-tick (frontend counts are merged at report time).
-    #[cfg(feature = "hotprof")]
-    event_counts: [u64; 4],
 }
 
 impl fmt::Debug for System {
@@ -348,8 +344,6 @@ impl Backend {
             fill_horizon: Cycle::ZERO,
             pending_commits: 0,
             deferred_translates: Vec::new(),
-            #[cfg(feature = "hotprof")]
-            event_counts: [0; 4],
             config: config.clone(),
         })
     }
@@ -395,19 +389,6 @@ impl Backend {
         }
         self.now = t;
         self.events_dispatched += 1;
-        #[cfg(feature = "hotprof")]
-        {
-            let kind = match &ev {
-                Event::WavefrontReady { .. } => Some(0),
-                Event::IssueOp { .. } => Some(1),
-                Event::Downgrade => Some(2),
-                Event::CpuTick => Some(3),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                self.event_counts[kind] += 1;
-            }
-        }
         match ev {
             Event::WavefrontReady { cu, wf } => self.step_wavefront(cu, wf),
             Event::IssueOp { cu, wf } => {
@@ -1384,34 +1365,6 @@ impl Backend {
             let s = self.ats.iotlb_stats();
             (s.accesses(), s.misses())
         };
-        #[cfg(not(feature = "hotprof"))]
-        let hot_profile = None;
-        #[cfg(feature = "hotprof")]
-        let hot_profile = {
-            let mut hp = crate::report::HotProfile {
-                event_counts: (
-                    self.event_counts[0] + frontends.iter().map(|f| f.ev_ready).sum::<u64>(),
-                    self.event_counts[1] + frontends.iter().map(|f| f.ev_issue).sum::<u64>(),
-                    self.event_counts[2],
-                    self.event_counts[3],
-                ),
-                ..Default::default()
-            };
-            let store = self.kernel.store().profile();
-            hp.store_fast_hits = store.fast_hits;
-            hp.store_slow_hits = store.slow_hits;
-            for cu in cus() {
-                if let Some(l1) = &cu.l1 {
-                    hp.page_flushes += l1.profile().page_flushes;
-                    hp.flush_scan_lines += l1.profile().flush_scan_lines;
-                }
-            }
-            if let Some(l2) = &self.gpu.l2 {
-                hp.page_flushes += l2.profile().page_flushes;
-                hp.flush_scan_lines += l2.profile().flush_scan_lines;
-            }
-            Some(hp)
-        };
         RunReport {
             safety: self.config.safety.label().to_string(),
             workload: self.config.workload.clone(),
@@ -1455,7 +1408,6 @@ impl Backend {
                 .as_ref()
                 .map(|h| (h.accesses(), h.shared_touches(), h.recalls_from_gpu())),
             audit: self.auditor.as_mut().map(Auditor::take_report),
-            hot_profile,
         }
     }
 }
@@ -1689,7 +1641,8 @@ impl System {
     /// warm key: the backend, every frontend, then the engine's pending
     /// calendar and its per-source sequence counters. Reading checks
     /// every pending event against the machine (see
-    /// [`System::event_fits`]).
+    /// [`System::event_fits`]), then the calendar against each
+    /// wavefront's state (see [`System::wavefronts_fit`]).
     fn snap_machine(
         &mut self,
         c: &mut Codec<'_>,
@@ -1722,7 +1675,57 @@ impl System {
             }
         }
         resume.out_seqs.resize(components, 0);
-        c.each(&mut resume.out_seqs, "out-seq count")
+        c.each(&mut resume.out_seqs, "out-seq count")?;
+        if c.reading() && !self.wavefronts_fit(&resume.pending) {
+            return Err(SnapError::BadValue("pending wavefront events"));
+        }
+        Ok(())
+    }
+
+    /// Whether the calendar gives each wavefront that still dispatches
+    /// one thread of control. A frontend that has not halted, and the
+    /// centralized backend while it is neither aborted nor done, run a
+    /// wavefront as one chain of events: at most one `WavefrontReady` or
+    /// `IssueOp` is pending for it, an `IssueOp` only while it holds an
+    /// op in flight, and neither only while it is done or its op waits on
+    /// blocks. Halted frontends are exempt: they drop what they are sent,
+    /// and `Disable` leaves their queued `IssueOp`s behind.
+    fn wavefronts_fit(&self, pending: &[bc_sim::shard::PendingEvent<Event>]) -> bool {
+        let back = self.frontends.len();
+        // (WavefrontReady, IssueOp) counts per (component, CU, wavefront);
+        // a frontend runs its own CU, whatever CU the event names.
+        let mut tally = std::collections::BTreeMap::new();
+        for p in pending {
+            let (cu, wf, issue) = match p.ev {
+                Event::WavefrontReady { cu, wf } => (cu, wf, false),
+                Event::IssueOp { cu, wf } => (cu, wf, true),
+                _ => continue,
+            };
+            let cu = if p.comp == back { cu } else { 0 };
+            let n: &mut (u32, u32) = tally.entry((p.comp, cu, wf)).or_default();
+            if issue {
+                n.1 += 1;
+            } else {
+                n.0 += 1;
+            }
+        }
+        let fits = |key, wave: &bc_accel::Wavefront, waiting: bool| match tally.get(&key) {
+            None => wave.done || waiting,
+            Some((1, 0)) => true,
+            Some((0, 1)) => wave.in_flight.is_some(),
+            Some(_) => false,
+        };
+        let back_fits = self.back.aborted
+            || self.back.done()
+            || self.back.gpu.cus.iter().enumerate().all(|(cu, c)| {
+                let mut waves = c.wavefronts.iter().enumerate();
+                waves.all(|(wf, w)| fits((back, cu, wf), w, false))
+            });
+        back_fits
+            && self.frontends.iter().enumerate().all(|(i, f)| {
+                let mut waves = f.cu.wavefronts.iter().zip(&f.runs).enumerate();
+                f.halted || waves.all(|(wf, (w, run))| fits((i, 0, wf), w, run.is_some()))
+            })
     }
 
     /// Whether component `comp` of this machine handles `ev`, and every
@@ -1929,12 +1932,11 @@ impl From<SnapError> for RestoreError {
 }
 
 /// Snapshot codec for the backend. Config-derived fields (the config
-/// itself, footprint geometry, lookahead, component counts) come from
-/// the build, as do the CU port count and whether the host actor and the
-/// auditor exist; transients (`outgoing`, `flush_scratch`) are empty at
-/// any cut by construction; everything the run mutates is serialized
-/// exactly. The hot-profile event counters are always written as four
-/// words so the byte format is independent of the `hotprof` feature.
+/// itself, footprint geometry, lookahead, component counts) are fixed by
+/// the build that is read over; the CU port count and whether the host
+/// actor and the auditor exist are checked against it; transients
+/// (`outgoing`, `flush_scratch`) are empty at any cut by construction;
+/// everything the run mutates is serialized exactly.
 impl Snap for Backend {
     fn snap(&mut self, c: &mut Codec<'_>) -> Result<(), SnapError> {
         debug_assert!(
@@ -1973,12 +1975,7 @@ impl Snap for Backend {
         c.snap(&mut self.done_wfs)?;
         c.snap(&mut self.fill_horizon)?;
         c.snap(&mut self.pending_commits)?;
-        c.snap(&mut self.deferred_translates)?;
-        #[cfg(feature = "hotprof")]
-        c.snap(&mut self.event_counts)?;
-        #[cfg(not(feature = "hotprof"))]
-        c.snap(&mut [0u64; 4])?;
-        Ok(())
+        c.snap(&mut self.deferred_translates)
     }
 }
 

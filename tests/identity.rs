@@ -16,7 +16,8 @@
 //! The goldens show *which* field of a few cells moved; the manifest
 //! shows *that* some byte of any tiny Fig. 4 output moved, checkpoints
 //! included. Regenerate after an intentional change (with a `CODE_REV`
-//! bump) with:
+//! bump, or a snapshot `FORMAT_VERSION` bump that moves only the `cut`
+//! lines) with:
 //!
 //! ```text
 //! BLESS=1 cargo test --release --test identity
