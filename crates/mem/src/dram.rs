@@ -210,7 +210,10 @@ impl Dram {
     /// Issues `n` block writes that all arrive at `at`, booking exactly
     /// what `n` calls of [`Self::write_block`] book, and returns the
     /// latest completion (`at` when `n` is zero). A Protection Table's
-    /// zeroing streams its blocks this way.
+    /// zeroing streams its blocks this way. The channels book the burst
+    /// with [`Channels::serve_burst`]: each channel's share as one run
+    /// where its calendar is free from the share's start on, and block
+    /// by block where blocks land in gaps.
     pub fn write_blocks(&mut self, at: Cycle, n: u64) -> Cycle {
         if n == 0 {
             return at;

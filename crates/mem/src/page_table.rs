@@ -1,14 +1,22 @@
 //! A 4-level radix page table with a cost-reporting walker.
 //!
-//! The table mirrors an x86-64-style layout: four levels of 512-entry
-//! nodes, 9 bits of virtual page number per level. Base (4 KiB) pages leaf
-//! at level 0; huge (2 MiB) pages leaf at level 1 and must be 512-page
-//! aligned. Translations report how many node accesses the walk performed,
-//! which the IOMMU uses to charge page-walk memory traffic.
+//! The table mirrors an x86-64-style layout: four levels of nodes of up
+//! to 512 slots, 9 bits of virtual page number per level. Base (4 KiB)
+//! pages leaf at level 0; huge (2 MiB) pages leaf at level 1 and must be
+//! 512-page aligned. Translations report how many node accesses the walk
+//! performed, which the IOMMU uses to charge page-walk memory traffic;
+//! that count follows the radix structure, not how the nodes are stored.
+//!
+//! A node stores its slots only up to its highest mapped one: `map` grows
+//! a node's slot vector to the slot it writes, and a lookup reads a slot
+//! past the end as empty. A process that maps a few pages (a tenant maps
+//! 8) costs a few slots per node rather than 512 slots of 16 bytes each,
+//! and listing or dropping its table visits only those slots. A table
+//! that maps a contiguous region keeps dense leaf nodes, which cost what
+//! a 512-slot node costs.
 
-// `Vpn::radix_index` masks to 9 bits and every node holds exactly
-// `FANOUT = 512` slots, so the descent indexing below cannot go out of
-// bounds.
+// `Vpn::radix_index` masks to 9 bits, and `map` grows a node to the slot
+// it writes before indexing it; every other descent reads with `get`.
 #![allow(clippy::indexing_slicing)]
 
 use std::error::Error;
@@ -107,16 +115,32 @@ enum Slot {
     Leaf(LeafEntry),
 }
 
-#[derive(Debug)]
+/// A radix node. `slots` ends at the highest slot `map` has written; a
+/// slot past the end is empty.
+#[derive(Debug, Default)]
 struct Node {
     slots: Vec<Slot>,
 }
 
 impl Node {
+    /// An empty node; it allocates nothing until a slot is mapped.
     fn new() -> Self {
-        let mut slots = Vec::with_capacity(FANOUT);
-        slots.resize_with(FANOUT, || Slot::Empty);
-        Node { slots }
+        Node::default()
+    }
+
+    /// The slot at `idx`, grown to if the node ends before it: the node
+    /// then holds `idx + 1` slots in room for the next power of two of
+    /// them, never past `FANOUT` (`Vec::resize_with` alone may double the
+    /// room past it). A dense fill therefore reallocates a node 10
+    /// times, not once per slot.
+    fn slot_grown(&mut self, idx: usize) -> &mut Slot {
+        debug_assert!(idx < FANOUT, "radix index {idx} out of range");
+        if idx >= self.slots.len() {
+            let room = (idx + 1).next_power_of_two().min(FANOUT);
+            self.slots.reserve_exact(room - self.slots.len());
+            self.slots.resize_with(idx + 1, || Slot::Empty);
+        }
+        &mut self.slots[idx]
     }
 }
 
@@ -229,8 +253,7 @@ impl PageTable {
         };
         let mut node = &mut self.root;
         for level in (leaf_level + 1..=3).rev() {
-            let idx = vpn.radix_index(level);
-            let slot = &mut node.slots[idx];
+            let slot = node.slot_grown(vpn.radix_index(level));
             match slot {
                 Slot::Empty => {
                     *slot = Slot::Table(Box::new(Node::new()));
@@ -243,10 +266,10 @@ impl PageTable {
                 _ => return Err(MapError::TableCorrupt(vpn)),
             };
         }
-        let idx = vpn.radix_index(leaf_level);
-        match &node.slots[idx] {
+        let slot = node.slot_grown(vpn.radix_index(leaf_level));
+        match slot {
             Slot::Empty => {
-                node.slots[idx] = Slot::Leaf(entry);
+                *slot = Slot::Leaf(entry);
                 self.mapped_base_pages += size.base_pages();
                 Ok(())
             }
@@ -299,11 +322,10 @@ impl PageTable {
         let mut node = &self.root;
         let mut accesses = 1u64; // root access
         for level in (0..=3).rev() {
-            let idx = vpn.radix_index(level);
-            match &node.slots[idx] {
-                Slot::Empty => return Err(TranslateError::NotMapped(vpn)),
-                Slot::Leaf(e) => return Ok((*e, accesses)),
-                Slot::Table(t) => {
+            match node.slots.get(vpn.radix_index(level)) {
+                None | Some(Slot::Empty) => return Err(TranslateError::NotMapped(vpn)),
+                Some(Slot::Leaf(e)) => return Ok((*e, accesses)),
+                Some(Slot::Table(t)) => {
                     node = t;
                     accesses += 1;
                 }
@@ -315,11 +337,10 @@ impl PageTable {
     fn lookup_mut(&mut self, vpn: Vpn) -> Result<&mut LeafEntry, TranslateError> {
         let mut node = &mut self.root;
         for level in (0..=3).rev() {
-            let idx = vpn.radix_index(level);
-            match &mut node.slots[idx] {
-                Slot::Empty => return Err(TranslateError::NotMapped(vpn)),
-                Slot::Leaf(e) => return Ok(e),
-                Slot::Table(t) => node = t,
+            match node.slots.get_mut(vpn.radix_index(level)) {
+                None | Some(Slot::Empty) => return Err(TranslateError::NotMapped(vpn)),
+                Some(Slot::Leaf(e)) => return Ok(e),
+                Some(Slot::Table(t)) => node = t,
             }
         }
         Err(TranslateError::NotMapped(vpn))
@@ -376,14 +397,15 @@ impl PageTable {
         };
         let mut node = &mut self.root;
         for level in (leaf_level + 1..=3).rev() {
-            let idx = vpn.radix_index(level);
-            node = match &mut node.slots[idx] {
-                Slot::Table(t) => t,
+            node = match node.slots.get_mut(vpn.radix_index(level)) {
+                Some(Slot::Table(t)) => t,
                 _ => return Err(TranslateError::TableCorrupt(vpn)),
             };
         }
-        let idx = vpn.radix_index(leaf_level);
-        node.slots[idx] = Slot::Empty;
+        match node.slots.get_mut(vpn.radix_index(leaf_level)) {
+            Some(slot) => *slot = Slot::Empty,
+            None => return Err(TranslateError::TableCorrupt(vpn)),
+        }
         self.mapped_base_pages -= entry.size.base_pages();
         Ok(Self::materialize(vpn, entry, 0))
     }
@@ -719,6 +741,58 @@ mod tests {
         let mut expect: Vec<Vpn> = vpns.iter().map(|&v| Vpn::new(v)).collect();
         expect.sort();
         assert_eq!(seen, expect);
+    }
+
+    #[test]
+    fn nodes_hold_slots_up_to_their_highest_mapping() {
+        let mut t = pt();
+        // Radix indexes 0, 1, 0 and 3 from the root down.
+        let vpn = (1 << 18) | 3;
+        t.map(
+            Vpn::new(vpn),
+            Ppn::new(1),
+            PagePerms::READ_ONLY,
+            PageSize::Base4K,
+        )
+        .unwrap();
+        assert_eq!(t.root.slots.len(), 1);
+        // Past the end of each node on the path, one level at a time.
+        for past in [
+            1 << 27,
+            2 << 18,
+            (1 << 18) | (1 << 9),
+            (1 << 18) | 4,
+            (1 << 18) | 511,
+        ] {
+            assert_eq!(
+                t.translate(Vpn::new(past)),
+                Err(TranslateError::NotMapped(Vpn::new(past)))
+            );
+            assert!(t.protect(Vpn::new(past), PagePerms::NONE).is_err());
+            assert!(t.unmap(Vpn::new(past)).is_err());
+        }
+        assert_eq!(t.translate(Vpn::new(vpn)).unwrap().levels_walked, 4);
+        assert_eq!((t.walks(), t.walk_node_accesses()), (6, 4));
+        // A node grows to the slot it writes, in room for a power of two
+        // of slots.
+        t.map(
+            Vpn::new((1 << 18) | 300),
+            Ppn::new(2),
+            PagePerms::READ_ONLY,
+            PageSize::Base4K,
+        )
+        .unwrap();
+        let Slot::Table(level2) = &t.root.slots[0] else {
+            panic!("level 3 slot 0 holds a table");
+        };
+        let Slot::Table(level1) = &level2.slots[1] else {
+            panic!("level 2 slot 1 holds a table");
+        };
+        let Slot::Table(leaf) = &level1.slots[0] else {
+            panic!("level 1 slot 0 holds a table");
+        };
+        assert_eq!((leaf.slots.len(), leaf.slots.capacity()), (301, 512));
+        assert_eq!(t.mapped_vpns(), [Vpn::new(vpn), Vpn::new((1 << 18) | 300)]);
     }
 
     #[test]

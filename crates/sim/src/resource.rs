@@ -114,18 +114,45 @@ impl Port {
     /// [`Channels`] dispatch without recomputing the winning channel's
     /// start; callers must not pass any other `start`.
     fn serve_at(&mut self, arrival: Cycle, start: Cycle, service: u64) -> Cycle {
-        let done = start + service;
+        self.serve_run(arrival, start, service, 1)
+    }
+
+    /// Books `k ≥ 1` requests arriving at `arrival` back to back from
+    /// `start`, and returns the last one's completion. With `k = 1` this
+    /// is any booking [`Self::serve_at`] makes. With `k > 1`, `start`
+    /// must be a [`Self::runs_from`] start: then each request lands
+    /// right after the one before, so the run books what `k` calls of
+    /// `serve_at` book — one interval, and queue delays that rise by
+    /// `service` from `start - arrival`.
+    fn serve_run(&mut self, arrival: Cycle, start: Cycle, service: u64, k: u64) -> Cycle {
+        let done = start + k * service;
         #[cfg(feature = "audit")]
         self.audit_booking(arrival, start, done);
-        self.queue_delay.record(start - arrival);
-        self.served.inc();
-        self.busy_cycles += service;
+        if k == 1 {
+            self.queue_delay.record(start - arrival);
+        } else {
+            self.queue_delay
+                .record_progression(start - arrival, service, k);
+        }
+        self.served.add(k);
+        self.busy_cycles += k * service;
         if service > 0 {
             self.insert_interval(start.as_u64(), done.as_u64());
         }
         self.max_arrival = self.max_arrival.max(arrival.as_u64());
         self.prune();
         done
+    }
+
+    /// Whether every further request arriving at `arrival` with this
+    /// `service` would book right after the one before, starting from
+    /// `start`, the channel's next start: `start` is at or past the
+    /// calendar's end, so nothing booked lies ahead of it, and `arrival`
+    /// is inside the retention window, so pruning cannot reopen a slot
+    /// behind it. A zero `service` books no interval at all, so it never
+    /// runs.
+    fn runs_from(&self, arrival: Cycle, start: Cycle, service: u64) -> bool {
+        service > 0 && start >= self.idle_from() && arrival.as_u64() >= self.retain_cutoff()
     }
 
     /// Self-check under the `audit` feature: a booking may never start
@@ -273,6 +300,18 @@ fn partition_from_tail<T>(v: &[T], pred: impl Fn(&T) -> bool) -> usize {
     v[..hi].partition_point(pred)
 }
 
+/// How many requests of a run that starts at `start` on channel `i` and
+/// steps by `service > 0` come before `(t, c)` in `(start, channel)`
+/// order: the starts below `t`, and the one at `t` too when `i < c`.
+fn run_requests_before(i: usize, start: Cycle, service: u64, (t, c): (Cycle, usize)) -> u64 {
+    let (start, end) = (start.as_u64(), t.as_u64() + u64::from(i < c));
+    if end > start {
+        (end - start).div_ceil(service)
+    } else {
+        0
+    }
+}
+
 impl crate::snapshot::Snap for Port {
     fn snap(
         &mut self,
@@ -363,15 +402,22 @@ impl Channels {
     /// [`Self::serve`] book, and returns the latest completion (`arrival`
     /// when `n` is zero).
     ///
-    /// Each channel's calendar is searched once up front; after every
-    /// booking only the winning channel is searched again. Booking a
-    /// channel only removes feasible starts, so its next start for the
-    /// same arrival is the earliest one at or after the completion just
-    /// booked, a search that begins at the calendar's tail. The exception
-    /// is an arrival more than the retention window behind the channel's
-    /// latest arrival: there pruning can retire the interval just booked
-    /// and reopen its slot, so the search starts from the arrival, as
-    /// `serve` would.
+    /// `n` calls of `serve` book in `(start, channel)` order: each takes
+    /// the lowest start, ties to the lowest channel. Each channel's
+    /// calendar is searched once up front. A channel whose next start is
+    /// at or past its calendar's end, for an arrival inside its retention
+    /// window, books every further request right after the one before
+    /// ([`Port::runs_from`]): its starts are an arithmetic progression
+    /// with step `service`, the same step on every channel. The shares
+    /// of such channels are therefore counted, not simulated, and each
+    /// channel books its share as one run ([`Port::serve_run`]). The
+    /// other channels book one request at a time, as `serve` would: the
+    /// start lies in a gap before the calendar's tail, or the arrival is
+    /// more than the retention window behind the channel's latest
+    /// arrival (where pruning can retire the interval just booked and
+    /// reopen its slot), or `service` is zero. After such a booking only
+    /// that channel is searched again — from the completion just booked,
+    /// or from the arrival behind the window.
     pub fn serve_burst(&mut self, arrival: Cycle, service: u64, n: u64) -> Cycle {
         let mut starts: Vec<Cycle> = self
             .ports
@@ -379,23 +425,78 @@ impl Channels {
             .map(|p| p.earliest_start(arrival, service))
             .collect();
         let mut latest = arrival;
-        for _ in 0..n {
-            // Ties go to the lowest channel, as in `serve`.
-            let mut best = 0;
-            for (i, &s) in starts.iter().enumerate().skip(1) {
-                if s < starts[best] {
-                    best = i;
+        let mut left = n;
+        while left > 0 {
+            let ports = &self.ports;
+            let runs = |i: &usize| ports[*i].runs_from(arrival, starts[*i], service);
+            // Requests the running channels book before `key`.
+            let before = |key| {
+                (0..ports.len())
+                    .filter(runs)
+                    .map(|i| run_requests_before(i, starts[i], service, key))
+                    .sum::<u64>()
+            };
+            // The next one-at-a-time booking: the lowest start among the
+            // other channels.
+            let single = (0..ports.len())
+                .filter(|i| !runs(i))
+                .min_by_key(|&i| (starts[i], i));
+            // The runs book every request ordered before `limit`: those
+            // ahead of the single booking or, when those are not fewer
+            // than the `left` still to book, the first `left`. `before`
+            // rises by at most one per key, so the first key with `left`
+            // requests before it has exactly `left`.
+            let limit = match single {
+                Some(p) if before((starts[p], p)) < left => (starts[p], p),
+                _ => {
+                    let first = (0..ports.len())
+                        .filter(runs)
+                        .map(|i| starts[i])
+                        .min()
+                        .expect("with no single booking first, some channel runs");
+                    // The `left`-th request starts at the first `t` with
+                    // `left` requests at or before it, by `first + (left -
+                    // 1)·service` at the latest.
+                    let (mut lo, mut hi) = (first, first + (left - 1) * service);
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        if before((mid, ports.len())) >= left {
+                            hi = mid;
+                        } else {
+                            lo = mid + 1;
+                        }
+                    }
+                    (1..=ports.len())
+                        .map(|c| (lo, c))
+                        .find(|&key| before(key) >= left)
+                        .expect("every run request at `lo` is before `(lo, len)`")
+                }
+            };
+            for (i, port) in self.ports.iter_mut().enumerate() {
+                if !port.runs_from(arrival, starts[i], service) {
+                    continue;
+                }
+                let k = run_requests_before(i, starts[i], service, limit);
+                if k > 0 {
+                    starts[i] = port.serve_run(arrival, starts[i], service, k);
+                    latest = latest.max(starts[i]);
+                    left -= k;
                 }
             }
-            let port = &mut self.ports[best];
-            let done = port.serve_at(arrival, starts[best], service);
+            if left == 0 {
+                break;
+            }
+            let p = single.expect("requests are left only when a single booking is next");
+            let port = &mut self.ports[p];
+            let done = port.serve_at(arrival, starts[p], service);
             latest = latest.max(done);
+            left -= 1;
             let from = if arrival.as_u64() < port.retain_cutoff() {
                 arrival
             } else {
                 done
             };
-            starts[best] = port.earliest_start(from, service);
+            starts[p] = port.earliest_start(from, service);
         }
         latest
     }
@@ -579,6 +680,30 @@ mod tests {
         ch.serve(Cycle::new(12), 5);
         assert_eq!(ch.ports[1].served(), 1);
         assert_eq!(ch.ports[2].served(), 0);
+    }
+
+    #[test]
+    fn burst_behind_the_window_reuses_the_slots_pruning_reopens() {
+        use crate::snapshot::to_bytes;
+        // A zero-service request moves channel 0's latest arrival far
+        // ahead without booking anything, so its calendar ends behind
+        // the retention window. A burst arriving behind the window books
+        // channel 0 one request at a time: each booking is retired at
+        // once and the next reuses its slot, so all nine land at cycle 0
+        // on channel 0, as nine calls of `serve` book them. Booked as a
+        // run, they would spread over both channels.
+        let mut burst = Channels::new(2);
+        burst.serve(Cycle::new(5), 3);
+        burst.serve(Cycle::new(100_000), 0);
+        let mut single = burst.clone();
+        let done = burst.serve_burst(Cycle::new(0), 2, 9);
+        let mut want = Cycle::new(0);
+        for _ in 0..9 {
+            want = want.max(single.serve(Cycle::new(0), 2));
+        }
+        assert_eq!((done, want), (Cycle::new(2), Cycle::new(2)));
+        assert_eq!(burst.ports[0].served(), 11);
+        assert_eq!(to_bytes(&mut burst), to_bytes(&mut single));
     }
 
     #[test]

@@ -224,6 +224,43 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Records the `k` observations `first, first + step, …,
+    /// first + (k - 1)·step`, leaving exactly what `k` calls of
+    /// [`Self::record`] leave, in one step per bucket the progression
+    /// crosses. The last value must fit in a `u64`.
+    pub fn record_progression(&mut self, first: u64, step: u64, k: u64) {
+        if k == 0 {
+            return;
+        }
+        let last = first + (k - 1) * step;
+        let mut value = first;
+        let mut left = k;
+        loop {
+            let bucket = 63 - (value | 1).leading_zeros() as usize;
+            // The terms below the next bucket's lower bound, 2^(bucket+1);
+            // bucket 63 has none.
+            let here = if step == 0 || bucket == 63 {
+                left
+            } else {
+                ((2u64 << bucket) - value).div_ceil(step).min(left)
+            };
+            self.buckets[bucket] += here;
+            left -= here;
+            if left == 0 {
+                break;
+            }
+            value += here * step;
+        }
+        self.count += k;
+        // Σ (first + j·step) for j < k, exact in u128 because every term
+        // fits in a u64; the u64 sum wraps as `record`'s does in release.
+        let total = u128::from(k) * u128::from(first)
+            + u128::from(step) * (u128::from(k) * u128::from(k - 1) / 2);
+        self.sum += total as u64;
+        self.min = self.min.min(first);
+        self.max = self.max.max(last);
+    }
+
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {

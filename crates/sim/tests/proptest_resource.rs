@@ -266,9 +266,13 @@ proptest! {
     /// is pre-loaded with a DRAM-like stream and reservations ahead of it;
     /// the burst arrives either inside every channel's retained window or
     /// more than the window behind the latest arrival, where pruning can
-    /// retire a fresh booking and reopen its slot. Both banks must report
-    /// the same latest completion, end in byte-identical state, and book
-    /// one more request identically.
+    /// retire a fresh booking and reopen its slot. Then come more bursts
+    /// at the same arrival, back to back, as the four accelerators'
+    /// table zeroings at one storm tick are, each after a few single
+    /// reads booked ahead of the arrival: those leave gaps, so a burst
+    /// starts in gaps and finishes at the tails. Both banks must report
+    /// the same latest completion for every burst, end every burst in
+    /// byte-identical state, and book one more request identically.
     #[test]
     fn burst_books_what_repeated_serves_book(
         seed in any::<u64>(),
@@ -279,6 +283,10 @@ proptest! {
         back in prop_oneof![0u64..RETAIN_CYCLES, RETAIN_CYCLES + 1..3 * RETAIN_CYCLES],
         n in 0u64..301,
         service in 0u64..9,
+        storm in proptest::collection::vec(
+            (proptest::collection::vec((0u64..1_024, 1u64..9), 0..6), 0u64..301),
+            0..4,
+        ),
     ) {
         let mut burst = Channels::new(channels);
         let stream = dram_stream(seed, len, gap);
@@ -302,6 +310,20 @@ proptest! {
         }
         prop_assert_eq!(done, want, "latest completion of {} bookings", n);
         prop_assert!(snap_bytes(&burst) == snap_bytes(&single), "bank state diverged");
+
+        for (b, (reads, n)) in storm.iter().enumerate() {
+            for &(ahead, read_service) in reads {
+                let at = arrival + ahead;
+                prop_assert_eq!(burst.serve(at, read_service), single.serve(at, read_service));
+            }
+            let done = burst.serve_burst(arrival, service, *n);
+            let mut want = arrival;
+            for _ in 0..*n {
+                want = want.max(single.serve(arrival, service));
+            }
+            prop_assert_eq!(done, want, "latest completion of storm burst {} ({} bookings)", b, n);
+            prop_assert!(snap_bytes(&burst) == snap_bytes(&single), "storm burst {} diverged", b);
+        }
 
         let next = Cycle::new(latest - (back / 2).min(latest));
         prop_assert_eq!(burst.serve(next, service + 1), single.serve(next, service + 1));

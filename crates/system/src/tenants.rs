@@ -511,8 +511,12 @@ impl HostBackend {
         };
         // Teardown oracle: an *allowed* access landing on a quarantined
         // frame is stale authority, unless the claimer itself is the
-        // tenant mid-teardown (its own in-flight tail).
-        if outcome.allowed && self.kernel.frame_quarantined(req.ppn) {
+        // tenant mid-teardown (its own in-flight tail). Only the slot's
+        // auditor reads the answer, and the quarantine scan is not free.
+        if outcome.allowed
+            && self.slots[accel].auditor.is_some()
+            && self.kernel.frame_quarantined(req.ppn)
+        {
             let own_teardown = self.kernel.unfinished_teardowns().any(|a| a == asid);
             if !own_teardown {
                 if let Some(a) = &mut self.slots[accel].auditor {

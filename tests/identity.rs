@@ -1,4 +1,4 @@
-//! Identity manifest for the 70 tiny Fig. 4 cells.
+//! Identity manifest for the 70 tiny Fig. 4 cells and the storm golden.
 //!
 //! Every cell of `matrices::fig4(Tiny, &FIG4_GPUS)` runs two ways:
 //! straight through, and through three chained warm-start cuts
@@ -12,6 +12,12 @@
 //! ```
 //!
 //! and the chained run must finish with the straight run's report.
+//!
+//! One more cell follows the 70: the configuration of the storm golden
+//! (`tests/goldens.rs`: Border Control-BCC, full flush, bfs, 200 000
+//! downgrades per second). No Fig. 4 cell zeroes a Protection Table, so
+//! this cell's checkpoints are the manifest's only cover for DRAM
+//! calendars and queue-delay histograms booked by table-zeroing bursts.
 //!
 //! The goldens show *which* field of a few cells moved; the manifest
 //! shows *that* some byte of any tiny Fig. 4 output moved, checkpoints
@@ -35,11 +41,30 @@ use bc_experiments::schema::{encode_report, CODE_REV};
 use bc_experiments::sweep::SweepCell;
 use bc_sim::sha256::hex_digest;
 use bc_sim::Cycle;
-use bc_system::System;
+use bc_system::{GpuClass, SafetyModel, System, SystemConfig};
 use bc_workloads::{LiveSynthesis, WorkloadSize};
 
 /// The chained warm-start cuts, in cycles.
 const CUTS: [u64; 3] = [1_000, 50_000, 600_000];
+
+/// The storm golden's cell: Border Control-BCC on the moderately
+/// threaded GPU, tiny bfs capped at 1 500 ops per wavefront, under
+/// 200 000 full-flush downgrades per second, each of which zeroes the
+/// whole Protection Table.
+fn storm_cell() -> SweepCell {
+    let mut config = SystemConfig::table3_defaults();
+    config.safety = SafetyModel::BorderControlBcc;
+    config.gpu_class = GpuClass::ModeratelyThreaded;
+    config.workload = "bfs".to_string();
+    config.size = WorkloadSize::Tiny;
+    config.max_ops_per_wavefront = Some(1_500);
+    config.downgrades_per_second = 200_000;
+    SweepCell {
+        label: "Storm/Moderately threaded/Border Control-BCC/bfs".to_string(),
+        coords: [0; 4],
+        config,
+    }
+}
 
 /// The manifest lines of one cell, in file order.
 fn cell_lines(cell: &SweepCell) -> Vec<String> {
@@ -65,8 +90,9 @@ fn cell_lines(cell: &SweepCell) -> Vec<String> {
 
 #[test]
 fn tiny_fig4_outputs_match_the_identity_manifest() {
-    let cells = fig4(WorkloadSize::Tiny, &FIG4_GPUS).cells();
+    let mut cells = fig4(WorkloadSize::Tiny, &FIG4_GPUS).cells();
     assert_eq!(cells.len(), 70);
+    cells.push(storm_cell());
     // Two workers: the cells are independent, and the manifest is
     // assembled in cell order whatever finishes first.
     let mut per_cell: Vec<Vec<String>> = vec![Vec::new(); cells.len()];
